@@ -83,10 +83,8 @@ class Generator:
         return adj
 
 
-def renumber_bfs(g: Generator) -> Generator:
-    """Restrict to the reachable part and renumber states in BFS order."""
-    if g.is_empty:
-        return g
+def _bfs_renumber(g: Generator) -> tuple[Generator, dict[int, int]]:
+    """Reachable part of non-empty ``g`` in BFS order, and its old-to-new state map."""
     adj = g.out_edges()
     order: dict[int, int] = {g.initial: 0}
     queue = deque([g.initial])
@@ -102,7 +100,14 @@ def renumber_bfs(g: Generator) -> Generator:
         if s in order and t in order
     }
     marked = frozenset(order[q] for q in g.marked if q in order)
-    return Generator(len(order), g.alphabet, transitions, 0, marked)
+    return Generator(len(order), g.alphabet, transitions, 0, marked), order
+
+
+def renumber_bfs(g: Generator) -> Generator:
+    """Restrict to the reachable part and renumber states in BFS order."""
+    if g.is_empty:
+        return g
+    return _bfs_renumber(g)[0]
 
 
 def reachable_states(g: Generator) -> frozenset[int]:
@@ -307,34 +312,14 @@ def project_detail(g: Generator, erase: Iterable[int]) -> ProjectionDetail:
                 queue.append(key)
             transitions[(sid, e)] = index[key]
     gen = Generator(len(index), alphabet, transitions, 0, frozenset(marked))
-    # The construction is reachable by design; reduce to the minimal form
-    # (which preserves the closed language too, so blocking parts survive).
-    # Merged states pool their source-state subsets.
-    block = _moore_partition(gen)
-    min_transitions = {
-        (block[s], e): block[t] for (s, e), t in gen.transitions.items()
-    }
-    min_marked = frozenset(block[s] for s in gen.marked)
-    pooled: dict[int, set[int]] = {}
-    for s, b in enumerate(block):
-        pooled.setdefault(b, set()).update(subsets[s])
-    quotient = Generator(max(block) + 1, alphabet, min_transitions,
-                         block[0], min_marked)
-    final = renumber_bfs(quotient)
-    # Recover the BFS renumbering to realign the pooled subsets.
-    adj3 = quotient.out_edges()
-    remap: dict[int, int] = {quotient.initial: 0}
-    bfs = deque([quotient.initial])
-    while bfs:
-        q = bfs.popleft()
-        for _, dst in adj3[q]:
-            if dst not in remap:
-                remap[dst] = len(remap)
-                bfs.append(dst)
-    final_subsets: list[frozenset[int]] = [frozenset()] * final.n_states
-    for old, new in remap.items():
-        final_subsets[new] = frozenset(pooled.get(old, ()))
-    return ProjectionDetail(final, tuple(final_subsets))
+    # The construction is reachable by design, as _minimal requires; the
+    # minimal form preserves the closed language too, so blocking parts
+    # survive.  Merged states pool their source-state subsets.
+    final, to_final = _minimal(gen)
+    pooled: list[set[int]] = [set() for _ in range(final.n_states)]
+    for subset, q in zip(subsets, to_final):
+        pooled[q].update(subset)
+    return ProjectionDetail(final, tuple(frozenset(p) for p in pooled))
 
 
 def _moore_partition(gen: Generator) -> list[int]:
@@ -373,11 +358,12 @@ def _moore_partition(gen: Generator) -> list[int]:
             return [block[s] for s in range(n)]
 
 
-def minimize(g: Generator) -> Generator:
-    """Smallest deterministic generator with the same closed and marked languages."""
-    if g.is_empty:
-        return g
-    gen = renumber_bfs(g)
+def _minimal(gen: Generator) -> tuple[Generator, list[int]]:
+    """Minimal form of a non-empty reachable ``gen`` and the minimal state of each state.
+
+    The minimal form is numbered in BFS order, so two generators with the same
+    closed and marked languages (and alphabet) give equal minimal forms.
+    """
     block = _moore_partition(gen)
     transitions = {
         (block[s], e): block[t] for (s, e), t in gen.transitions.items()
@@ -385,7 +371,15 @@ def minimize(g: Generator) -> Generator:
     marked = frozenset(block[s] for s in gen.marked)
     quotient = Generator(max(block) + 1, gen.alphabet, transitions,
                          block[gen.initial], marked)
-    return renumber_bfs(quotient)
+    final, order = _bfs_renumber(quotient)
+    return final, [order[b] for b in block]
+
+
+def minimize(g: Generator) -> Generator:
+    """Smallest deterministic generator with the same closed and marked languages."""
+    if g.is_empty:
+        return g
+    return _minimal(renumber_bfs(g))[0]
 
 
 def project(g: Generator, erase: Iterable[int]) -> Generator:
@@ -393,73 +387,15 @@ def project(g: Generator, erase: Iterable[int]) -> Generator:
     return project_detail(g, erase).generator
 
 
-def _moore_canonical(g: Generator) -> tuple:
-    """Canonical minimal form distinguishing closed and marked behavior.
-
-    The reachable part is completed with a dead sink; states carry the output
-    (alive, marked) and are merged by standard partition refinement.  Two
-    generators share a canonical form iff both languages coincide.
-    """
-    if g.is_empty or not reachable_states(g):
-        return ("empty", tuple(sorted(g.alphabet)))
-    gen = renumber_bfs(g)
-    n = gen.n_states
-    sink = n
-    events = sorted(gen.alphabet)
-    total = {
-        (s, e): gen.transitions.get((s, e), sink) for s in range(n) for e in events
-    }
-    for e in events:
-        total[(sink, e)] = sink
-
-    def out(s: int) -> int:
-        if s == sink:
-            return 0
-        return 2 if s in gen.marked else 1
-
-    block = {s: out(s) for s in list(range(n)) + [sink]}
-    while True:
-        mapping: dict[tuple, int] = {}
-        new_block = {}
-        for s in sorted(block):
-            sig = (block[s],) + tuple(block[total[(s, e)]] for e in events)
-            if sig not in mapping:
-                mapping[sig] = len(mapping)
-            new_block[s] = mapping[sig]
-        stable = len(set(new_block.values())) == len(set(block.values()))
-        block = new_block
-        if stable:
-            break
-    # Canonical BFS numbering of the quotient from the initial block.
-    quotient: dict[tuple[int, int], int] = {}
-    for s in range(n):
-        for e in events:
-            quotient[(block[s], e)] = block[total[(s, e)]]
-    for e in events:
-        quotient[(block[sink], e)] = block[sink]
-    outputs = {block[s]: out(s) for s in list(range(n)) + [sink]}
-    order: dict[int, int] = {block[gen.initial]: 0}
-    queue = deque([block[gen.initial]])
-    while queue:
-        b = queue.popleft()
-        for e in events:
-            t = quotient[(b, e)]
-            if t not in order:
-                order[t] = len(order)
-                queue.append(t)
-    table = tuple(
-        tuple(order[quotient[(b, e)]] for e in events)
-        for b, _ in sorted(order.items(), key=lambda kv: kv[1])
-    )
-    outs = tuple(outputs[b] for b, _ in sorted(order.items(), key=lambda kv: kv[1]))
-    return (tuple(events), table, outs)
-
-
 def language_equal(a: Generator, b: Generator) -> bool:
     """True iff closed and marked languages both coincide; alphabets must match."""
     if a.alphabet != b.alphabet:
         raise ValueError("alphabet mismatch")
-    return _moore_canonical(a) == _moore_canonical(b)
+    # An empty generator's ``initial`` field carries no meaning, so emptiness
+    # is compared before the minimal forms.
+    if a.is_empty or b.is_empty:
+        return a.is_empty and b.is_empty
+    return minimize(a) == minimize(b)
 
 
 def language_subset(a: Generator, b: Generator) -> bool:

@@ -392,7 +392,8 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:
+        # RuntimeError covers RecursionError from the library on deep inputs.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -10,21 +10,22 @@ since tick is neither forcible nor prohibitible).
 
 Backtracking builds a tree rooted at the target; pruning branches that never
 reach the source leaves the proper tree, whose states form the attraction
-field.  Reversed branches are the direct solution paths; a forward sweep
-inside the attraction field collects any further simple paths whose steps all
-satisfy the same condition.  The machinery never inspects timers, so it runs
-unchanged on tick-free (projected) supervisors.
+field.  Its reversed branches are the solution paths: every simple path that
+starts at the source, ends at the target and takes backtrackable steps only.
+The machinery never inspects timers, so it runs unchanged on tick-free
+(projected) supervisors.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
-from typing import Sequence
+from collections import deque
+from dataclasses import dataclass
+from typing import Callable
 
 from .automata import Generator, project_detail
-from .events import TICK, EventTable, event_name
+from .events import TICK, event_name
 from .synthesis import Supervisor
 
 Path = tuple[int, ...]
@@ -117,10 +118,9 @@ class BFT:
 class ForciblePathSet:
     """Solution paths of one reconfiguration problem.
 
-    ``paths`` is sorted by (length, events); ``direct`` flags the paths read
-    off the proper tree, the remainder were found by the forward sweep.  The
-    attraction field is the state set of the proper tree; every prefix of
-    every path stays inside it.
+    ``paths`` is sorted by (length, events); each is a reversed branch of the
+    proper tree.  The attraction field is the state set of the proper tree;
+    every prefix of every path stays inside it.
     """
 
     source: int
@@ -129,7 +129,6 @@ class ForciblePathSet:
     paths: tuple[Path, ...]
     attraction_field: frozenset[int]
     solvable: bool
-    direct: frozenset[Path] = field(default_factory=frozenset)
 
     def __iter__(self):
         return iter(self.paths)
@@ -157,7 +156,6 @@ class ForciblePathSet:
                     "events": [event_name(e) for e in p],
                     "length": len(p),
                     "ticks": self.tick_count(p),
-                    "direct": p in self.direct,
                 }
                 for p in self.paths
             ],
@@ -165,37 +163,42 @@ class ForciblePathSet:
         return json.dumps(payload, indent=2)
 
 
-def _edge_backtrackable(out_of_pred: Sequence[tuple[int, int]], events: EventTable,
-                        ev: int, anchor: int) -> bool:
-    """Condition for backtracking ``anchor`` to a predecessor via ``ev``.
+def _backtrackable_into(sup: Supervisor) -> Callable[[int], list[tuple[int, int]]]:
+    """Sorted backtrackable (predecessor, event) pairs into an anchor state.
 
-    Either the event is forcible, or every event eligible at the predecessor
-    whose target differs from ``anchor`` is prohibitible.  ``out_of_pred``
-    lists the predecessor's outgoing (event, target) pairs.
+    A step from a predecessor into ``anchor`` is backtrackable when its event
+    is forcible, or when every event eligible at the predecessor whose target
+    differs from ``anchor`` is prohibitible.  The returned function computes
+    each anchor's list once.
     """
-    if events.is_forcible(ev):
-        return True
-    for other, dst in out_of_pred:
-        if dst == anchor:
-            continue
-        if not events.is_prohibitible(other):
-            return False
-    return True
+    gen = sup.automaton
+    incoming: dict[int, list[tuple[int, int]]] = {}
+    for (pred, ev), dst in gen.transitions.items():
+        incoming.setdefault(dst, []).append((pred, ev))
+    cache: dict[int, list[tuple[int, int]]] = {}
+
+    def backtrackable(pred: int, ev: int, anchor: int) -> bool:
+        if sup.events.is_forcible(ev):
+            return True
+        # The rivals are looked up per alphabet event, so no adjacency list of
+        # the whole supervisor is built for the few states a search visits.
+        return all(sup.events.is_prohibitible(other) for other in gen.alphabet
+                   if gen.transitions.get((pred, other), anchor) != anchor)
+
+    def into(anchor: int) -> list[tuple[int, int]]:
+        if anchor not in cache:
+            cache[anchor] = sorted((p, e) for (p, e) in incoming.get(anchor, [])
+                                   if backtrackable(p, e, anchor))
+        return cache[anchor]
+
+    return into
 
 
 def eligibility_set(sup: Supervisor, state: int) -> EligibilitySet:
     """All backtrackable (predecessor, event) pairs leading into ``state``."""
-    gen = sup.automaton
-    if not (0 <= state < gen.n_states):
+    if not (0 <= state < sup.automaton.n_states):
         raise ValueError(f"unknown supervisor state {state}")
-    adj = gen.out_edges()
-    entries = set()
-    for (pred, ev), dst in gen.transitions.items():
-        if dst != state:
-            continue
-        if _edge_backtrackable(adj[pred], sup.events, ev, state):
-            entries.add((pred, ev))
-    return EligibilitySet(state, frozenset(entries))
+    return EligibilitySet(state, frozenset(_backtrackable_into(sup)(state)))
 
 
 def build_bft(problem: ReconfigProblem, max_nodes: int | None = None) -> BFT:
@@ -206,27 +209,27 @@ def build_bft(problem: ReconfigProblem, max_nodes: int | None = None) -> BFT:
     branch (so no branch ever repeats a state).  The tree enumerates simple
     backward paths and can grow exponentially on dense supervisors;
     ``max_nodes`` is a resource guard (exceeding it raises ``ValueError``).
+
+    A backward search from the target runs first.  If it never meets the
+    source, no branch can end there, and the tree is returned as the root
+    alone: its proper tree is empty either way.  On a solvable problem the
+    search only visits states that the tree holds anyway.
     """
-    sup = problem.supervisor
-    gen = sup.automaton
     q_s = problem.source
+    backtrackable = _backtrackable_into(problem.supervisor)
+    root = BFTNode(problem.target, -1, None)
 
-    # Backtrackable predecessor lists, computed once per anchor state.
-    adj = gen.out_edges()
-    incoming: dict[int, list[tuple[int, int]]] = {}
-    for (pred, ev), dst in gen.transitions.items():
-        incoming.setdefault(dst, []).append((pred, ev))
-    elig_cache: dict[int, list[tuple[int, int]]] = {}
+    reached = {problem.target}
+    frontier = deque(reached)
+    while frontier and q_s not in reached:
+        for pred, _ in backtrackable(frontier.popleft()):
+            if pred not in reached:
+                reached.add(pred)
+                frontier.append(pred)
+    if q_s not in reached:
+        return BFT(problem.target, (root,))
 
-    def backtrackable(anchor: int) -> list[tuple[int, int]]:
-        if anchor not in elig_cache:
-            elig_cache[anchor] = sorted(
-                (p, e) for (p, e) in incoming.get(anchor, [])
-                if _edge_backtrackable(adj[p], sup.events, e, anchor)
-            )
-        return elig_cache[anchor]
-
-    nodes = [BFTNode(problem.target, -1, None)]
+    nodes = [root]
     stack: list[tuple[int, frozenset[int]]] = [(0, frozenset({problem.target}))]
     while stack:
         i, on_branch = stack.pop()
@@ -273,75 +276,25 @@ def attraction_field(pbft: BFT) -> frozenset[int]:
     return frozenset(node.state for node in pbft.nodes)
 
 
-def _forward_paths(gen: Generator, events: EventTable, source: int, target: int,
-                   field_states: frozenset[int],
-                   max_nodes: int | None = None) -> set[Path]:
-    """Simple paths source-to-target inside the field with backtrackable steps."""
-    full_adj = gen.out_edges()
-    adj: dict[int, list[tuple[int, int]]] = {}
-    for (src, ev), dst in gen.transitions.items():
-        if src in field_states and dst in field_states:
-            adj.setdefault(src, []).append((ev, dst))
-    for lst in adj.values():
-        lst.sort()
-    found: set[Path] = set()
-    path: list[int] = []
-    visited = {source}
-    steps = 0
-
-    def walk(state: int) -> None:
-        nonlocal steps
-        steps += 1
-        if max_nodes is not None and steps > max_nodes:
-            raise ValueError(f"path enumeration exceeds {max_nodes} steps")
-        if state == target:
-            found.add(tuple(path))
-            return
-        for ev, dst in adj.get(state, ()):
-            if dst in visited:
-                continue
-            if not _edge_backtrackable(full_adj[state], events, ev, dst):
-                continue
-            visited.add(dst)
-            path.append(ev)
-            walk(dst)
-            path.pop()
-            visited.discard(dst)
-
-    if source in field_states:
-        walk(source)
-    return found
-
-
 def trs(problem: ReconfigProblem, max_nodes: int | None = None) -> ForciblePathSet:
     """Timed reconfiguration solver: all simple forcible paths source-to-target.
 
-    Computes the backtracking forcibility tree, prunes it to its proper part,
-    reads the direct paths off the reversed branches, and adds branching
-    paths found by a forward traversal confined to the attraction field.  An
-    unsolvable problem yields an empty, distinguished result (no exception).
-    ``max_nodes`` guards against combinatorial blowup on dense supervisors.
+    Computes the backtracking forcibility tree, prunes it to its proper part
+    and reads the paths off the reversed branches.  An unsolvable problem
+    yields an empty, distinguished result (no exception).  ``max_nodes``
+    guards against combinatorial blowup on dense supervisors.
     """
-    bft = build_bft(problem, max_nodes)
-    pbft = prune_to_pbft(bft, problem.source)
-    field_states = attraction_field(pbft)
+    pbft = prune_to_pbft(build_bft(problem, max_nodes), problem.source)
     if pbft.is_empty:
         return ForciblePathSet(problem.source, problem.target,
                                problem.reconfig_event, (), frozenset(), False)
-    direct: set[Path] = set()
-    for leaf in pbft.leaves():
-        # Proper-tree leaves are all the source; the reversed branch runs
-        # source-to-target.
-        direct.add(tuple(reversed(pbft.branch_events(leaf))))
-    gen = problem.supervisor.automaton
-    all_paths = _forward_paths(gen, problem.supervisor.events,
-                               problem.source, problem.target, field_states,
-                               max_nodes)
-    all_paths |= direct
-    ordered = tuple(sorted(all_paths, key=lambda p: (len(p), p)))
+    # Proper-tree leaves are all the source; the reversed branch runs
+    # source-to-target.
+    paths = {tuple(reversed(pbft.branch_events(leaf))) for leaf in pbft.leaves()}
+    ordered = tuple(sorted(paths, key=lambda p: (len(p), p)))
     return ForciblePathSet(problem.source, problem.target,
-                           problem.reconfig_event, ordered, field_states,
-                           True, frozenset(direct))
+                           problem.reconfig_event, ordered, attraction_field(pbft),
+                           True)
 
 
 def select_optimal(paths: ForciblePathSet, criterion: str) -> Path:

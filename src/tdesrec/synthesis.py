@@ -15,6 +15,7 @@ from typing import Sequence
 
 from .automata import (
     Generator,
+    _bfs_renumber,
     _product_pairs,
     allevents,
     coreachable_states,
@@ -138,6 +139,17 @@ def supcon(plant: TimedGenerator, spec: Generator,
     def survivor_eligible(q: int) -> dict[int, int]:
         return {e: t for e, t in adj[q] if t in alive}
 
+    def restricted() -> Generator:
+        """The product confined to the surviving states."""
+        return Generator(
+            n,
+            product.alphabet,
+            {(s, e): t for (s, e), t in product.transitions.items()
+             if s in alive and t in alive},
+            product.initial,
+            product.marked & frozenset(alive),
+        )
+
     changed = True
     while changed and alive:
         changed = False
@@ -159,15 +171,7 @@ def supcon(plant: TimedGenerator, spec: Generator,
                 changed = True
         # Coreachability sweep over the survivors.
         if alive:
-            restricted = Generator(
-                n,
-                product.alphabet,
-                {(s, e): t for (s, e), t in product.transitions.items()
-                 if s in alive and t in alive},
-                product.initial,
-                product.marked & frozenset(alive),
-            )
-            coreach = coreachable_states(restricted)
+            coreach = coreachable_states(restricted())
             dead = alive - coreach
             if dead:
                 alive -= dead
@@ -179,22 +183,7 @@ def supcon(plant: TimedGenerator, spec: Generator,
         empty = Generator(0, product.alphabet, {}, 0, frozenset())
         return Supervisor(empty, events, (), (), ())
 
-    # Reachable restriction, renumbered in BFS order.
-    order: dict[int, int] = {product.initial: 0}
-    queue = deque([product.initial])
-    while queue:
-        q = queue.popleft()
-        for e, t in adj[q]:
-            if t in alive and t not in order:
-                order[t] = len(order)
-                queue.append(t)
-    transitions = {
-        (order[s], e): order[t]
-        for (s, e), t in product.transitions.items()
-        if s in order and t in order
-    }
-    marked = frozenset(order[q] for q in product.marked if q in order)
-    gen = Generator(len(order), product.alphabet, transitions, 0, marked)
+    gen, order = _bfs_renumber(restricted())
 
     plant_states = [0] * len(order)
     disabled: list[frozenset[int]] = [frozenset()] * len(order)

@@ -317,6 +317,27 @@ class TestLanguageEqual:
             b = random_generator(rng, 4, (1, 2), density=0.5)
             assert language_equal(a, b) == oracle_language_equal(a, b, 9)
 
+    def test_minimal_form_ignores_state_numbering(self):
+        # language_equal compares minimal forms, so these must not depend on
+        # how the input numbers its states.
+        rng = random.Random(12)
+        for _ in range(200):
+            g = random_generator(rng, 7, (1, 2, 3), density=0.5)
+            perm = list(range(g.n_states))
+            rng.shuffle(perm)
+            permuted = Generator(
+                g.n_states, g.alphabet,
+                {(perm[s], e): perm[t] for (s, e), t in g.transitions.items()},
+                perm[g.initial], frozenset(perm[q] for q in g.marked))
+            assert minimize(permuted) == minimize(g)
+
+    def test_empty_generators_equal_whatever_initial(self):
+        a = Generator(0, frozenset({1}), {}, 0, frozenset())
+        b = Generator(0, frozenset({1}), {}, 4, frozenset())
+        assert language_equal(a, b)
+        assert not language_equal(a, chain([1]))
+        assert not language_equal(chain([1]), b)
+
     def test_subset_check(self):
         g = chain([1, 2])
         smaller = Generator(g.n_states, g.alphabet, {(0, 1): 1}, 0, frozenset())

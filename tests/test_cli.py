@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from tdesrec import cli
 from tdesrec.cli import EXIT_ERROR, EXIT_OK, EXIT_UNSOLVABLE, main
 from tdesrec.fixtures import (
     SMALL_FACTORY_EXPECTED_PATH,
@@ -210,3 +211,15 @@ class TestExportDot:
         out = capsys.readouterr().out
         assert "digraph M1" in out
         assert "doublecircle" in out
+
+
+class TestLibraryErrors:
+    @pytest.mark.parametrize("exc", [RuntimeError("stuck"),
+                                     RecursionError("maximum recursion depth exceeded")])
+    def test_runtime_error_is_one_line(self, monkeypatch, model_path, capsys, exc):
+        def fail(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_export_dot", fail)
+        assert main(["export-dot", model_path, "--block", "M1"]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {exc}\n"
