@@ -83,17 +83,28 @@ class Generator:
         return adj
 
 
-def _bfs_renumber(g: Generator) -> tuple[Generator, dict[int, int]]:
-    """Reachable part of non-empty ``g`` in BFS order, and its old-to-new state map."""
+def _bfs_parents(g: Generator) -> dict[int, tuple[int, int] | None]:
+    """BFS tree of non-empty ``g`` as a parent map in discovery order.
+
+    Each reachable state maps to the ``(parent, event)`` step that discovered
+    it, the initial state to None.  Successors are explored in event order, so
+    the branch to each state spells the shortlex-least string reaching it.
+    """
     adj = g.out_edges()
-    order: dict[int, int] = {g.initial: 0}
+    parents: dict[int, tuple[int, int] | None] = {g.initial: None}
     queue = deque([g.initial])
     while queue:
         q = queue.popleft()
-        for _, dst in adj[q]:
-            if dst not in order:
-                order[dst] = len(order)
+        for e, dst in adj[q]:
+            if dst not in parents:
+                parents[dst] = (q, e)
                 queue.append(dst)
+    return parents
+
+
+def _bfs_renumber(g: Generator) -> tuple[Generator, dict[int, int]]:
+    """Reachable part of non-empty ``g`` in BFS order, and its old-to-new state map."""
+    order = {q: i for i, q in enumerate(_bfs_parents(g))}
     transitions = {
         (order[s], e): order[t]
         for (s, e), t in g.transitions.items()
@@ -113,16 +124,7 @@ def renumber_bfs(g: Generator) -> Generator:
 def reachable_states(g: Generator) -> frozenset[int]:
     if g.is_empty:
         return frozenset()
-    adj = g.out_edges()
-    seen = {g.initial}
-    queue = deque([g.initial])
-    while queue:
-        q = queue.popleft()
-        for _, dst in adj[q]:
-            if dst not in seen:
-                seen.add(dst)
-                queue.append(dst)
-    return frozenset(seen)
+    return frozenset(_bfs_parents(g))
 
 
 def coreachable_states(g: Generator) -> frozenset[int]:
@@ -163,21 +165,20 @@ def is_nonblocking(g: Generator) -> bool:
     return reachable_states(g) <= coreachable_states(g)
 
 
-def sync_product(components: Sequence[Generator]) -> Generator:
-    """Synchronous composition: shared events synchronize, private ones interleave.
+def _product(components: Sequence[Generator], movers: Mapping[int, Sequence[int]]
+             ) -> tuple[Generator, list[tuple[int, ...]]]:
+    """Reachable product where event ``e`` moves the components ``movers[e]``.
 
-    An event moves exactly the components carrying it in their alphabet and is
-    eligible only when all of those components can execute it.  Marked states
-    are products of marked states.  Only the reachable part is built.
+    An event is eligible only when every component it moves can execute it;
+    the others keep their state.  The alphabet is the set of ``movers`` keys,
+    and marked states are products of marked states.  Returns the product and
+    the component-state tuple of each product state.
     """
-    if not components:
-        raise ValueError("no components")
+    alphabet = frozenset(movers)
     if any(c.is_empty for c in components):
-        alphabet = frozenset().union(*(c.alphabet for c in components))
-        return Generator(0, alphabet, {}, 0, frozenset())
-    alphabet = frozenset().union(*(c.alphabet for c in components))
-    movers = {e: [i for i, c in enumerate(components) if e in c.alphabet]
-              for e in alphabet}
+        return Generator(0, alphabet, {}, 0, frozenset()), []
+    trans = [c.transitions for c in components]
+    steps = [(e, movers[e]) for e in sorted(alphabet)]
     start = tuple(c.initial for c in components)
     index: dict[tuple[int, ...], int] = {start: 0}
     queue = deque([start])
@@ -188,53 +189,36 @@ def sync_product(components: Sequence[Generator]) -> Generator:
         sid = index[state]
         if all(state[i] in c.marked for i, c in enumerate(components)):
             marked.add(sid)
-        for e in sorted(alphabet):
+        for e, moving in steps:
             nxt = list(state)
-            ok = True
-            for i in movers[e]:
-                dst = components[i].target(state[i], e)
+            for i in moving:
+                dst = trans[i].get((state[i], e))
                 if dst is None:
-                    ok = False
                     break
                 nxt[i] = dst
-            if not ok:
-                continue
-            key = tuple(nxt)
-            if key not in index:
-                index[key] = len(index)
-                queue.append(key)
-            transitions[(sid, e)] = index[key]
-    return Generator(len(index), alphabet, transitions, 0, frozenset(marked))
-
-
-def _product_pairs(a: Generator, b: Generator) -> tuple[Generator, tuple[tuple[int, int], ...]]:
-    """Fully synchronized product with the (a-state, b-state) pair of each state."""
-    alphabet = a.alphabet | b.alphabet
-    if a.is_empty or b.is_empty:
-        return Generator(0, alphabet, {}, 0, frozenset()), ()
-    start = (a.initial, b.initial)
-    index: dict[tuple[int, int], int] = {start: 0}
-    queue = deque([start])
-    transitions: dict[tuple[int, int], int] = {}
-    marked: set[int] = set()
-    while queue:
-        (x, y) = queue.popleft()
-        sid = index[(x, y)]
-        if x in a.marked and y in b.marked:
-            marked.add(sid)
-        for e in sorted(alphabet):
-            dx = a.target(x, e)
-            dy = b.target(y, e)
-            if dx is None or dy is None:
-                continue
-            key = (dx, dy)
-            if key not in index:
-                index[key] = len(index)
-                queue.append(key)
-            transitions[(sid, e)] = index[key]
+            else:
+                key = tuple(nxt)
+                if key not in index:
+                    index[key] = len(index)
+                    queue.append(key)
+                transitions[(sid, e)] = index[key]
     gen = Generator(len(index), alphabet, transitions, 0, frozenset(marked))
-    pairs = tuple(p for p, _ in sorted(index.items(), key=lambda kv: kv[1]))
-    return gen, pairs
+    return gen, list(index)
+
+
+def sync_product(components: Sequence[Generator]) -> Generator:
+    """Synchronous composition: shared events synchronize, private ones interleave.
+
+    An event moves exactly the components carrying it in their alphabet and is
+    eligible only when all of those components can execute it.  Marked states
+    are products of marked states.  Only the reachable part is built.
+    """
+    if not components:
+        raise ValueError("no components")
+    alphabet = frozenset().union(*(c.alphabet for c in components))
+    movers = {e: [i for i, c in enumerate(components) if e in c.alphabet]
+              for e in alphabet}
+    return _product(components, movers)[0]
 
 
 def meet(a: Generator, b: Generator) -> Generator:
@@ -243,8 +227,7 @@ def meet(a: Generator, b: Generator) -> Generator:
     When the alphabets agree this realizes the language intersection; an event
     private to one operand can never occur in the result.
     """
-    gen, _ = _product_pairs(a, b)
-    return gen
+    return _product([a, b], dict.fromkeys(a.alphabet | b.alphabet, (0, 1)))[0]
 
 
 def allevents(g: Generator) -> Generator:

@@ -31,8 +31,8 @@ from .solver import (
     trs,
     verify_projection_commutativity,
 )
-from .synthesis import Supervisor, mode_timed_graph, supcon, synthesize_tcrs
-from .timed import timed_graph
+from .synthesis import Supervisor, _synthesize_with_plant, supcon
+from .timed import TimedGenerator, timed_graph
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -95,13 +95,13 @@ def _write_output(model: ModelFile, out: str | None, kind: str, name: str,
         sys.stdout.write(text)
 
 
-def _synthesize(model: ModelFile, args) -> Supervisor:
+def _synthesize(model: ModelFile, args) -> tuple[TimedGenerator, Supervisor]:
+    """The mode timed graph (the plant) and the supervisor synthesized for it."""
     components = [_atg(model, n) for n in args.components]
     reconfig = _atg(model, args.reconfig)
     behavioral = _spec(model, args.spec)
-    return synthesize_tcrs(components, reconfig, behavioral, model.events,
-                           reconfig_events=args.reconfig_event or (),
-                           max_states=args.max_states)
+    return _synthesize_with_plant(components, reconfig, behavioral, model.events,
+                                  args.reconfig_event or (), args.max_states)
 
 
 def _supervisor_from_block(model: ModelFile, name: str) -> Supervisor:
@@ -158,7 +158,7 @@ def cmd_supcon(args) -> int:
 
 def cmd_synth_tcrs(args) -> int:
     model = _load(args.model)
-    sup = _synthesize(model, args)
+    _, sup = _synthesize(model, args)
     if sup.is_empty:
         print("warning: no admissible behavior", file=sys.stderr)
     print(f"TCRS: {sup.n_states} states, {len(sup.automaton.transitions)} transitions")
@@ -194,12 +194,9 @@ def cmd_project(args) -> int:
 
 def cmd_localize(args) -> int:
     model = _load(args.model)
-    sup = _synthesize(model, args)
+    plant, sup = _synthesize(model, args)
     if sup.is_empty:
         raise CliError("no admissible behavior; nothing to localize")
-    plant = mode_timed_graph([_atg(model, n) for n in args.components],
-                             _atg(model, args.reconfig), model.events,
-                             args.max_states)
     ev = frozenset(args.ev) if args.ev else default_event_list(sup)
     pkg = DecentralizationPackage(plant, sup, ev)
     loc = timed_localize(pkg)
@@ -237,7 +234,7 @@ def cmd_verify_commutativity(args) -> int:
 
 def cmd_verify_decentralized(args) -> int:
     model = _load(args.model)
-    sup = _synthesize(model, args)
+    plant, sup = _synthesize(model, args)
     if sup.is_empty:
         raise CliError("no admissible behavior")
     sigma_r = args.event
@@ -245,20 +242,19 @@ def cmd_verify_decentralized(args) -> int:
         raise CliError(
             f"reconfiguration event {sigma_r} must be declared both prohibitible "
             "and forcible for decentralized solving")
-    plant = mode_timed_graph([_atg(model, n) for n in args.components],
-                             _atg(model, args.reconfig), model.events,
-                             args.max_states)
     ev = frozenset(args.ev) if args.ev else default_event_list(sup)
     pkg = DecentralizationPackage(plant, sup, ev)
     try:
         problem = ReconfigProblem(sup, args.source, args.target, sigma_r)
-        report = verify_solution_equivalence(pkg, problem)
+        loc = timed_localize(pkg)
+        report = verify_solution_equivalence(pkg, loc, problem)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     for line in report.describe():
         print(line)
     print("-- tick-projection commutativity on the decentralized supervisor --")
-    for line in verify_projection_commutativity_decentralized(pkg, problem).describe():
+    commutativity = verify_projection_commutativity_decentralized(pkg, loc, problem)
+    for line in commutativity.describe():
         print(line)
     return EXIT_OK
 
@@ -395,6 +391,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, RuntimeError) as exc:
         # RuntimeError covers RecursionError from the library on deep inputs.
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except MemoryError as exc:
+        # A failed allocation usually carries no text of its own.
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_ERROR
 
 

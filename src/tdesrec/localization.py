@@ -15,6 +15,9 @@ verified against the defining identity (plant composed with the controllers
 reproduces the supervised behavior, closed and marked); if verification ever
 fails, the trivial localization (every controller a full supervisor copy) is
 used instead.
+
+Both decentralized verifiers take the ``LocalizedSupervisor`` of the package,
+so one ``timed_localize`` call serves both.
 """
 
 from __future__ import annotations
@@ -26,11 +29,9 @@ from .automata import Generator, language_equal, renumber_bfs, sync_product
 from .events import TICK, EventTable, event_name
 from .solver import (
     CommutativityReport,
-    ForciblePathSet,
     Path,
     ReconfigProblem,
-    erase_ticks,
-    state_witness,
+    _witnesses,
     trs,
     verify_projection_commutativity,
 )
@@ -312,7 +313,7 @@ def verify_localization(pkg: DecentralizationPackage, loc: LocalizedSupervisor) 
     composition is synchronous (an inverse-projection intersection), compared
     for both closed and marked language.
     """
-    closed_loop = sync_product([pkg.plant.generator, loc.tdrs])
+    closed_loop = decentralized_closed_loop(pkg, loc).automaton
     sup_gen = pkg.supervisor.automaton
     union = closed_loop.alphabet | sup_gen.alphabet
 
@@ -329,6 +330,22 @@ def decentralized_closed_loop(pkg: DecentralizationPackage,
     """The plant running under the decentralized controllers, as a supervisor."""
     gen = sync_product([pkg.plant.generator, loc.tdrs])
     return Supervisor.from_generator(gen, pkg.supervisor.events)
+
+
+def _transported(pkg: DecentralizationPackage, loc: LocalizedSupervisor,
+                 problem: ReconfigProblem) -> tuple[ReconfigProblem, Path]:
+    """The problem carried into the decentralized closed loop, and the source witness.
+
+    Source and target are carried along their shortest witness strings in the
+    centralized supervisor (the synchronized-state correspondence).
+    """
+    closed_loop = decentralized_closed_loop(pkg, loc)
+    witnesses = _witnesses(pkg.supervisor.automaton, [problem.source, problem.target])
+    source, target = (closed_loop.automaton.run(w) for w in witnesses)
+    if source is None or target is None:
+        raise ValueError("correspondence not established")
+    dec_problem = ReconfigProblem(closed_loop, source, target, problem.reconfig_event)
+    return dec_problem, witnesses[0]
 
 
 @dataclass(frozen=True)
@@ -380,9 +397,9 @@ def _replay_side(side: Generator, start_witness: Path, paths: frozenset[Path],
     return True
 
 
-def verify_solution_equivalence(pkg: DecentralizationPackage,
+def verify_solution_equivalence(pkg: DecentralizationPackage, loc: LocalizedSupervisor,
                                 problem: ReconfigProblem) -> SolutionEquivalenceReport:
-    """Solve the problem centrally and on the decentralized closed loop.
+    """Solve the problem centrally and on the closed loop under ``loc``.
 
     The source and target are transported into the decentralized composition
     along their shortest witness strings (the synchronized-state
@@ -391,9 +408,8 @@ def verify_solution_equivalence(pkg: DecentralizationPackage,
     through their projections, checking the reconfiguration event is eligible
     at both endpoints.
     """
-    sup = pkg.supervisor
     sigma_r = problem.reconfig_event
-    ev = sup.events
+    ev = pkg.supervisor.events
     if not (ev.is_prohibitible(sigma_r) and ev.is_forcible(sigma_r)):
         raise ValueError(
             f"reconfiguration event {event_name(sigma_r)} must be declared both "
@@ -402,17 +418,7 @@ def verify_solution_equivalence(pkg: DecentralizationPackage,
     if not central.solvable:
         raise ValueError("problem is unsolvable on the centralized supervisor")
 
-    loc = timed_localize(pkg)
-    closed_loop = decentralized_closed_loop(pkg, loc)
-
-    source_witness = state_witness(sup.automaton, problem.source)
-    target_witness = state_witness(sup.automaton, problem.target)
-    dec_source = closed_loop.automaton.run(source_witness)
-    dec_target = closed_loop.automaton.run(target_witness)
-    if dec_source is None or dec_target is None:
-        raise ValueError("correspondence not established")
-
-    dec_problem = ReconfigProblem(closed_loop, dec_source, dec_target, sigma_r)
+    dec_problem, source_witness = _transported(pkg, loc, problem)
     decentralized = trs(dec_problem)
 
     central_set = frozenset(central.paths)
@@ -421,26 +427,18 @@ def verify_solution_equivalence(pkg: DecentralizationPackage,
     replay_c = _replay_side(loc.loc_c, source_witness, central_set, sigma_r)
     return SolutionEquivalenceReport(
         central_set, dec_set, central_set == dec_set,
-        dec_source, dec_target,
+        dec_problem.source, dec_problem.target,
         sigma_r in loc.loc_p.alphabet, sigma_r in loc.loc_c.alphabet,
         replay_p, replay_c, loc.used_fallback)
 
 
 def verify_projection_commutativity_decentralized(
-        pkg: DecentralizationPackage,
+        pkg: DecentralizationPackage, loc: LocalizedSupervisor,
         problem: ReconfigProblem) -> CommutativityReport:
-    """Tick-projection commutativity, run on the decentralized supervisor.
+    """Tick-projection commutativity, run on the closed loop under ``loc``.
 
     Reuses the centralized machinery with the decentralized closed loop
     substituted for the supervisor, transporting source and target along
     their witness strings.
     """
-    sup = pkg.supervisor
-    loc = timed_localize(pkg)
-    closed_loop = decentralized_closed_loop(pkg, loc)
-    source = closed_loop.automaton.run(state_witness(sup.automaton, problem.source))
-    target = closed_loop.automaton.run(state_witness(sup.automaton, problem.target))
-    if source is None or target is None:
-        raise ValueError("correspondence not established")
-    dec_problem = ReconfigProblem(closed_loop, source, target, problem.reconfig_event)
-    return verify_projection_commutativity(dec_problem)
+    return verify_projection_commutativity(_transported(pkg, loc, problem)[0])

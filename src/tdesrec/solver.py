@@ -22,9 +22,9 @@ import json
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
-from .automata import Generator, project_detail
+from .automata import Generator, _bfs_parents, project_detail
 from .events import TICK, event_name
 from .synthesis import Supervisor
 
@@ -320,32 +320,26 @@ def erase_ticks(path: Path) -> Path:
 
 def state_witness(gen: Generator, state: int) -> Path:
     """A shortest string from the initial state to ``state`` (BFS order)."""
+    return _witnesses(gen, [state])[0]
+
+
+def _witnesses(gen: Generator, states: Sequence[int]) -> list[Path]:
+    """The ``state_witness`` of each of ``states``, read off one BFS tree."""
     if gen.is_empty:
         raise ValueError("empty generator has no states")
-    if state == gen.initial:
-        return ()
-    adj = gen.out_edges()
-    back: dict[int, tuple[int, int]] = {}
-    queue = [gen.initial]
-    seen = {gen.initial}
-    while queue:
-        nxt: list[int] = []
-        for q in queue:
-            for ev, dst in adj[q]:
-                if dst not in seen:
-                    seen.add(dst)
-                    back[dst] = (q, ev)
-                    if dst == state:
-                        rev = []
-                        cur = dst
-                        while cur != gen.initial:
-                            prev, e = back[cur]
-                            rev.append(e)
-                            cur = prev
-                        return tuple(reversed(rev))
-                    nxt.append(dst)
-        queue = nxt
-    raise ValueError(f"state {state} unreachable")
+    parents = _bfs_parents(gen)
+    out = []
+    for state in states:
+        if state not in parents:
+            raise ValueError(f"state {state} unreachable")
+        rev = []
+        step = parents[state]
+        while step is not None:
+            q, e = step
+            rev.append(e)
+            step = parents[q]
+        out.append(tuple(reversed(rev)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -405,15 +399,15 @@ def verify_projection_commutativity(problem: ReconfigProblem,
         pgen = gen
     t_project = time.perf_counter() - t0
 
-    def image(q: int) -> int:
-        witness = erase_ticks(state_witness(gen, q))
-        img = pgen.run(witness)
+    def image(q: int, witness: Path) -> int:
+        img = pgen.run(erase_ticks(witness))
         if img is None:
             raise ValueError(f"state lost under projection: {q}")
         return img
 
-    p_source = image(problem.source)
-    p_target = image(problem.target)
+    source_witness, target_witness = _witnesses(gen, [problem.source, problem.target])
+    p_source = image(problem.source, source_witness)
+    p_target = image(problem.target, target_witness)
     projected_problem = ReconfigProblem(
         Supervisor.from_generator(pgen, sup.events),
         p_source, p_target, problem.reconfig_event)

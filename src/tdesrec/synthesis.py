@@ -16,7 +16,7 @@ from typing import Sequence
 from .automata import (
     Generator,
     _bfs_renumber,
-    _product_pairs,
+    _product,
     allevents,
     coreachable_states,
     sync_product,
@@ -130,7 +130,8 @@ def supcon(plant: TimedGenerator, spec: Generator,
     if extra:
         raise ValueError(f"spec alphabet exceeds plant alphabet: {sorted(extra)}")
     plant_gen = plant.generator
-    product, pairs = _product_pairs(plant_gen, spec)
+    product, pairs = _product([plant_gen, spec],
+                              dict.fromkeys(plant_gen.alphabet | spec.alphabet, (0, 1)))
     n = product.n_states
     alive = set(range(n))
     adj = product.out_edges()
@@ -220,6 +221,15 @@ def synthesize_tcrs(component_atgs: Sequence[Generator], reconfig_spec: Generato
     Declared reconfiguration events must appear in the reconfiguration spec
     and be prohibitible.
     """
+    return _synthesize_with_plant(component_atgs, reconfig_spec, behavioral_spec,
+                                  events, reconfig_events, max_states)[1]
+
+
+def _synthesize_with_plant(component_atgs: Sequence[Generator], reconfig_spec: Generator,
+                           behavioral_spec: Generator, events: EventTable,
+                           reconfig_events: Sequence[int],
+                           max_states: int) -> tuple[TimedGenerator, Supervisor]:
+    """The ``synthesize_tcrs`` pipeline, also returning its plant, the mode timed graph."""
     for e in reconfig_events:
         if e not in reconfig_spec.alphabet:
             raise ValueError(f"reconfiguration event {e} missing from the reconfiguration spec")
@@ -231,8 +241,8 @@ def synthesize_tcrs(component_atgs: Sequence[Generator], reconfig_spec: Generato
     lifted = sync_product([allevents(mode_ttg.generator), behavioral_spec])
     supervisor = supcon(mode_ttg, lifted, events)
     if supervisor.is_empty:
-        warnings.warn("no admissible behavior", stacklevel=2)
-    return supervisor
+        warnings.warn("no admissible behavior", stacklevel=3)  # the public caller
+    return mode_ttg, supervisor
 
 
 __all__ = [

@@ -84,7 +84,7 @@ def test_criterion_2_supcon_supremality():
     rng = random.Random(102)
     t0 = time.perf_counter()
     done = 0
-    from tdesrec.automata import _product_pairs
+    from tdesrec.automata import _product
 
     while done < 200:
         atg, events = random_atg(rng, max_activities=3, max_events=3,
@@ -100,7 +100,8 @@ def test_criterion_2_supcon_supremality():
         else:
             alpha = tuple(sorted(plant.generator.alphabet))
             spec = random_generator(rng, 2, alpha, density=0.8, marked_p=0.8)
-        product, _ = _product_pairs(plant.generator, spec)
+        product, _ = _product([plant.generator, spec], dict.fromkeys(
+            plant.generator.alphabet | spec.alphabet, (0, 1)))
         if product.n_states > 10:
             continue
         got = supcon(plant, spec, events)
@@ -341,7 +342,7 @@ def test_criterion_7_decentralized_equivalence():
         pad = lambda g: Generator(g.n_states, union, dict(g.transitions),
                                   g.initial, g.marked)
         assert language_equal(pad(composed), pad(sup_gen)), "defining identity"
-        rep = verify_solution_equivalence(pkg, problem)
+        rep = verify_solution_equivalence(pkg, loc, problem)
         assert rep.equal, "solution sets differ"
         done += 1
     elapsed = time.perf_counter() - t0
@@ -363,7 +364,8 @@ def test_criterion_8_decentralized_commutativity():
         problem = _package_problem(rng, pkg)
         if problem is None:
             continue
-        rep = verify_projection_commutativity_decentralized(pkg, problem)
+        rep = verify_projection_commutativity_decentralized(
+            pkg, timed_localize(pkg), problem)
         total += 1
         if rep.equal:
             equal += 1

@@ -28,7 +28,7 @@ from tdesrec.events import (
     EventTable,
     event_name,
 )
-from util import oracle_language_equal, random_generator
+from util import oracle_language_equal, oracle_product_membership, random_generator
 
 
 def chain(events, marked_last=True):
@@ -136,6 +136,56 @@ class TestSyncProduct:
             for order in ((0, 2, 1), (1, 0, 2), (2, 1, 0)):
                 other = sync_product([comps[i] for i in order])
                 assert language_equal(base, other)
+
+
+def _strings(alphabet, max_len):
+    events = sorted(alphabet)
+    out = [()]
+    frontier = [()]
+    for _ in range(max_len):
+        frontier = [s + (e,) for s in frontier for e in events]
+        out += frontier
+    return out
+
+
+def _random_components(rng, count):
+    """Random generators over random sub-alphabets of (1, 2, 3, 4); some empty."""
+    comps = []
+    for _ in range(count):
+        alphabet = tuple(sorted(rng.sample((1, 2, 3, 4), rng.randint(1, 3))))
+        if rng.random() < 0.05:
+            comps.append(Generator(0, frozenset(alphabet), {}, 0, frozenset()))
+        else:
+            comps.append(random_generator(rng, 4, alphabet, density=0.6))
+    return comps
+
+
+class TestProductOracle:
+    def test_sync_product_matches_componentwise_runs(self):
+        rng = random.Random(61)
+        for _ in range(150):
+            comps = _random_components(rng, rng.randint(1, 3))
+            prod = sync_product(comps)
+            closed, marked = bounded_language(prod, 4)
+            for string in _strings(prod.alphabet, 4):
+                in_closed, in_marked = oracle_product_membership(comps, string)
+                assert (string in closed) == in_closed, string
+                assert (string in marked) == in_marked, string
+
+    def test_meet_matches_runs_over_the_union_alphabet(self):
+        # meet moves both operands on every event, so each operand, widened
+        # to the union alphabet, must run the whole string.
+        rng = random.Random(62)
+        for _ in range(150):
+            a, b = _random_components(rng, 2)
+            union = a.alphabet | b.alphabet
+            widened = [Generator(g.n_states, union, g.transitions, g.initial, g.marked)
+                       for g in (a, b)]
+            closed, marked = bounded_language(meet(a, b), 4)
+            for string in _strings(union, 4):
+                in_closed, in_marked = oracle_product_membership(widened, string)
+                assert (string in closed) == in_closed, string
+                assert (string in marked) == in_marked, string
 
 
 class TestMeet:

@@ -204,6 +204,39 @@ class TestVerifyDecentralized:
         assert "tick-projection commutativity" in out
 
 
+class TestPipelineStagesOnce:
+    @pytest.mark.parametrize("command, problem", [
+        ("localize", []),
+        ("verify-decentralized", ["--from", "83", "--to", "516", "--event", "91"]),
+    ], ids=["localize", "verify-decentralized"])
+    def test_plant_built_and_localized_once(self, monkeypatch, model_path, capsys,
+                                            command, problem):
+        import sys
+
+        from tdesrec.localization import timed_localize
+        from tdesrec.synthesis import mode_timed_graph
+
+        calls = {}
+        for fn in (mode_timed_graph, timed_localize):
+            calls[fn.__name__] = 0
+
+            def counted(*args, _fn=fn, **kwargs):
+                calls[_fn.__name__] += 1
+                return _fn(*args, **kwargs)
+
+            for name, module in list(sys.modules.items()):
+                if name.split(".")[0] != "tdesrec":
+                    continue
+                for attr, obj in list(vars(module).items()):
+                    if obj is fn:
+                        monkeypatch.setattr(module, attr, counted)
+        rc = main([command, model_path, "--components", "M1", "M2",
+                   "--reconfig", "R", "--spec", "SPEC", "--reconfig-event", "91",
+                   *problem])
+        assert rc == EXIT_OK
+        assert calls == {"mode_timed_graph": 1, "timed_localize": 1}
+
+
 class TestExportDot:
     def test_dot_output(self, model_path, capsys):
         rc = main(["export-dot", model_path, "--block", "M1"])
@@ -215,11 +248,12 @@ class TestExportDot:
 
 class TestLibraryErrors:
     @pytest.mark.parametrize("exc", [RuntimeError("stuck"),
-                                     RecursionError("maximum recursion depth exceeded")])
+                                     RecursionError("maximum recursion depth exceeded"),
+                                     MemoryError()])
     def test_runtime_error_is_one_line(self, monkeypatch, model_path, capsys, exc):
         def fail(args):
             raise exc
 
         monkeypatch.setattr(cli, "cmd_export_dot", fail)
         assert main(["export-dot", model_path, "--block", "M1"]) == EXIT_ERROR
-        assert capsys.readouterr().err == f"error: {exc}\n"
+        assert capsys.readouterr().err == f"error: {str(exc) or 'out of memory'}\n"

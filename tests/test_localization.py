@@ -211,7 +211,7 @@ class TestSolutionEquivalence:
         package = DecentralizationPackage(ttg, sup, default_event_list(sup))
         q_r = next(q for (q, e) in sup.automaton.transitions if e == 6)
         with pytest.raises(ValueError, match="prohibitible and forcible"):
-            verify_solution_equivalence(package,
+            verify_solution_equivalence(package, timed_localize(package),
                                         ReconfigProblem(sup, 0, q_r, 6))
 
     def test_equivalence_on_random_packages(self):
@@ -231,7 +231,7 @@ class TestSolutionEquivalence:
                 problem = ReconfigProblem(sup, q_s, q_r, e)
                 if not trs(problem).solvable:
                     continue
-                report = verify_solution_equivalence(pkg, problem)
+                report = verify_solution_equivalence(pkg, timed_localize(pkg), problem)
                 assert report.equal, report.describe()
                 assert report.sigma_r_in_tick_alphabet
                 assert report.sigma_r_in_event_alphabet
@@ -273,7 +273,8 @@ class TestDecentralizedCommutativity:
                 from tdesrec.solver import verify_projection_commutativity
 
                 central = verify_projection_commutativity(problem)
-                dec = verify_projection_commutativity_decentralized(pkg, problem)
+                dec = verify_projection_commutativity_decentralized(
+                    pkg, timed_localize(pkg), problem)
                 # The closed loop is state-faithful to the supervisor, so the
                 # decentralized report mirrors the centralized one.
                 assert dec.timed_projected == central.timed_projected

@@ -147,7 +147,8 @@ class TestDecentralization:
         assert all(g.n_states == 1 for g in loc.tick_controllers.values())
 
     def test_solution_equivalence(self, package, factory_problem):
-        report = verify_solution_equivalence(package, factory_problem)
+        report = verify_solution_equivalence(package, timed_localize(package),
+                                             factory_problem)
         assert report.equal
         assert report.centralized == {
             (23, 33, 12, TICK, TICK, 31, TICK, TICK),

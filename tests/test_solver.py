@@ -21,8 +21,8 @@ from tdesrec.solver import (
     verify_projection_commutativity,
 )
 from tdesrec.synthesis import Supervisor
-from util import (oracle_paths, random_pipeline_supervisor, sample_problems,
-                  solvable_problems)
+from util import (oracle_paths, oracle_state_witness, random_pipeline_supervisor,
+                  sample_problems, solvable_problems)
 
 A, B, C, D = 5, 7, 9, 11
 
@@ -351,6 +351,23 @@ class TestCommutativity:
         sup = wrap(3, {(0, A): 1, (1, TICK): 2, (2, A): 2}, events)
         assert state_witness(sup.automaton, 0) == ()
         assert state_witness(sup.automaton, 2) == (A, TICK)
+
+    def test_state_witness_is_shortlex_least(self):
+        # Raw generators, so some states are unreachable and the initial
+        # state is not always 0.
+        rng = random.Random(63)
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            transitions = {(s, e): rng.randrange(n) for s in range(n) for e in (A, B, TICK)
+                           if rng.random() < 0.4}
+            gen = Generator(n, frozenset({A, B, TICK}), transitions, rng.randrange(n))
+            for q in range(n):
+                expected = oracle_state_witness(gen, q)
+                if expected is None:
+                    with pytest.raises(ValueError, match="unreachable"):
+                        state_witness(gen, q)
+                else:
+                    assert state_witness(gen, q) == expected
 
     def test_erase_ticks(self):
         assert erase_ticks((TICK, A, TICK, B)) == (A, B)

@@ -128,9 +128,10 @@ class TestSupcon:
             if plant.n_states > 6:
                 continue
             spec = random_spec(rng, plant.generator.alphabet, max_states=2)
-            from tdesrec.automata import _product_pairs
+            from tdesrec.automata import _product
 
-            product, _ = _product_pairs(plant.generator, spec)
+            product, _ = _product([plant.generator, spec], dict.fromkeys(
+                plant.generator.alphabet | spec.alphabet, (0, 1)))
             if product.n_states > 9:
                 continue
             sup = supcon(plant, spec, events)
@@ -146,7 +147,7 @@ class TestSupcon:
         # state removal) must not beat the state-subset supremum.
         from itertools import combinations
 
-        from tdesrec.automata import _product_pairs
+        from tdesrec.automata import _product
 
         rng = random.Random(31)
         checked = 0
@@ -158,7 +159,8 @@ class TestSupcon:
             except ValueError:
                 continue
             spec = random_spec(rng, plant.generator.alphabet, max_states=2)
-            product, pairs = _product_pairs(plant.generator, spec)
+            product, pairs = _product([plant.generator, spec], dict.fromkeys(
+                plant.generator.alphabet | spec.alphabet, (0, 1)))
             if product.n_states == 0 or len(product.transitions) > 10:
                 continue
             sup = supcon(plant, spec, events)

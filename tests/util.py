@@ -9,7 +9,7 @@ values frozen into tests were produced by these oracles.
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 from tdesrec.automata import Generator, bounded_language
 from tdesrec.events import TICK, PROHIBITIBLE, UNCONTROLLABLE, EventDef, EventTable
@@ -140,6 +140,33 @@ def oracle_language_equal(a: Generator, b: Generator, depth: int) -> bool:
     return bounded_language(a, depth) == bounded_language(b, depth)
 
 
+def oracle_product_membership(components: list[Generator],
+                              string: tuple[int, ...]) -> tuple[bool, bool]:
+    """Closed and marked membership of ``string`` in the synchronous product.
+
+    The string is in the closed language exactly when every component runs
+    the string's projection onto its own alphabet, and in the marked language
+    exactly when every component also accepts that projection.
+    """
+    ends = [c.run(tuple(e for e in string if e in c.alphabet)) for c in components]
+    closed = all(q is not None for q in ends)
+    return closed, closed and all(q in c.marked for q, c in zip(ends, components))
+
+
+def oracle_state_witness(gen: Generator, state: int) -> tuple[int, ...] | None:
+    """The shortlex-least string that reaches ``state``, or None if none does.
+
+    Strings are tried in shortlex order; a reachable state is reached by some
+    string shorter than the state count.
+    """
+    events = sorted(gen.alphabet)
+    for length in range(gen.n_states):
+        for string in product(events, repeat=length):
+            if gen.run(string) == state:
+                return string
+    return None
+
+
 def _edge_ok_oracle(gen: Generator, events: EventTable, src: int, ev: int, dst: int) -> bool:
     if events.is_forcible(ev):
         return True
@@ -199,10 +226,11 @@ def oracle_supremal(plant: TimedGenerator, spec: Generator,
     trims, checks timed controllability directly against the plant, and
     keeps the candidate whose language contains all others.
     """
-    from tdesrec.automata import _product_pairs, language_subset, renumber_bfs
+    from tdesrec.automata import _product, language_subset, renumber_bfs
     from tdesrec.automata import coreachable_states, reachable_states
 
-    product, pairs = _product_pairs(plant.generator, spec)
+    product, pairs = _product([plant.generator, spec], dict.fromkeys(
+        plant.generator.alphabet | spec.alphabet, (0, 1)))
     n = product.n_states
     plant_gen = plant.generator
     empty = Generator(0, product.alphabet, {}, 0, frozenset())
