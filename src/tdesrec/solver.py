@@ -18,7 +18,6 @@ The machinery never inspects timers, so it runs unchanged on tick-free
 
 from __future__ import annotations
 
-import gc
 import json
 import time
 from collections import deque
@@ -350,8 +349,7 @@ class CommutativityReport:
     ``timed_projected`` holds the tick-erased images of the timed solutions;
     ``projected`` the solutions computed on the tick-projected supervisor.
     The timing fields record the wall time of each solver run, supporting the
-    efficiency comparison between the two orders of composition; each solver
-    run starts from a freshly collected heap.
+    efficiency comparison between the two orders of composition.
     """
 
     timed_projected: frozenset[Path]
@@ -375,23 +373,6 @@ class CommutativityReport:
         return lines
 
 
-def _timed_trs(problem: ReconfigProblem,
-               max_nodes: int | None) -> tuple[ForciblePathSet, float]:
-    """``trs`` and its wall time, measured from a freshly collected heap.
-
-    The collection runs before the clock starts.  The run is then charged
-    with the garbage collections its own allocations trigger, and not with
-    those that allocations made before it (the projection, or earlier work
-    in the process) happen to set off inside it.  Both orders of composition
-    are timed this way, so the comparison does not depend on what the
-    process did before.
-    """
-    gc.collect()
-    t0 = time.perf_counter()
-    result = trs(problem, max_nodes)
-    return result, time.perf_counter() - t0
-
-
 def verify_projection_commutativity(problem: ReconfigProblem,
                                     max_nodes: int | None = None) -> CommutativityReport:
     """Compare solving before and after erasing ticks from the supervisor.
@@ -403,7 +384,9 @@ def verify_projection_commutativity(problem: ReconfigProblem,
     sup = problem.supervisor
     gen = sup.automaton
 
-    timed, t_timed = _timed_trs(problem, max_nodes)
+    t0 = time.perf_counter()
+    timed = trs(problem, max_nodes)
+    t_timed = time.perf_counter() - t0
     if not timed.solvable:
         raise ValueError("problem is unsolvable on the timed side")
 
@@ -429,7 +412,9 @@ def verify_projection_commutativity(problem: ReconfigProblem,
         Supervisor.from_generator(pgen, sup.events),
         p_source, p_target, problem.reconfig_event)
 
-    projected, t_projected = _timed_trs(projected_problem, max_nodes)
+    t0 = time.perf_counter()
+    projected = trs(projected_problem, max_nodes)
+    t_projected = time.perf_counter() - t0
 
     left = frozenset(erase_ticks(p) for p in timed.paths)
     right = frozenset(projected.paths)

@@ -346,21 +346,6 @@ class TestCommutativity:
         with pytest.raises(ValueError, match="unsolvable"):
             verify_projection_commutativity(ReconfigProblem(sup, 0, 1, B))
 
-    def test_each_timed_solve_starts_from_a_collected_heap(self, monkeypatch):
-        import tdesrec.solver as solver
-
-        events = table(**{str(A): ("hib", True), str(B): ("hib", True)})
-        sup = wrap(3, {(0, A): 1, (0, TICK): 1, (1, B): 2, (2, TICK): 2}, events)
-        calls = []
-        collect, solve = solver.gc.collect, solver.trs
-        monkeypatch.setattr(solver.gc, "collect",
-                            lambda: calls.append("collect") or collect())
-        monkeypatch.setattr(solver, "trs",
-                            lambda *args: calls.append("trs") or solve(*args))
-        report = verify_projection_commutativity(ReconfigProblem(sup, 0, 1, B))
-        assert calls == ["collect", "trs", "collect", "trs"]
-        assert report.seconds_trs_timed > 0 and report.seconds_trs_projected > 0
-
     def test_state_witness(self):
         events = table(**{str(A): ("hib", True)})
         sup = wrap(3, {(0, A): 1, (1, TICK): 2, (2, A): 2}, events)
