@@ -313,7 +313,7 @@ def verify_localization(pkg: DecentralizationPackage, loc: LocalizedSupervisor) 
     composition is synchronous (an inverse-projection intersection), compared
     for both closed and marked language.
     """
-    closed_loop = decentralized_closed_loop(pkg, loc).automaton
+    closed_loop = sync_product([pkg.plant.generator, loc.tdrs])
     sup_gen = pkg.supervisor.automaton
     union = closed_loop.alphabet | sup_gen.alphabet
 
