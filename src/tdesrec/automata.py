@@ -83,6 +83,11 @@ class Generator:
         return adj
 
 
+def _eligible_sets(g: Generator) -> list[frozenset[int]]:
+    """Per-state eligible events of ``g``, from one adjacency pass."""
+    return [frozenset(e for e, _ in edges) for edges in g.out_edges()]
+
+
 def _bfs_parents(g: Generator) -> dict[int, tuple[int, int] | None]:
     """BFS tree of non-empty ``g`` as a parent map in discovery order.
 
@@ -382,32 +387,22 @@ def language_equal(a: Generator, b: Generator) -> bool:
 
 
 def language_subset(a: Generator, b: Generator) -> bool:
-    """True iff L(a) <= L(b) and Lm(a) <= Lm(b); alphabets must match."""
+    """True iff L(a) <= L(b) and Lm(a) <= Lm(b); alphabets must match.
+
+    That is, at every reachable state pair of their product ``b`` marks
+    where ``a`` does and offers every event ``a`` offers.
+    """
     if a.alphabet != b.alphabet:
         raise ValueError("alphabet mismatch")
     if a.is_empty:
         return True
     if b.is_empty:
         return False
-    start = (a.initial, b.initial)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        (x, y) = queue.popleft()
-        if x in a.marked and y not in b.marked:
-            return False
-        for e in sorted(a.alphabet):
-            dx = a.target(x, e)
-            if dx is None:
-                continue
-            dy = b.target(y, e)
-            if dy is None:
-                return False
-            key = (dx, dy)
-            if key not in seen:
-                seen.add(key)
-                queue.append(key)
-    return True
+    _, pairs = _product([a, b], dict.fromkeys(a.alphabet, (0, 1)))
+    a_elig = _eligible_sets(a)
+    b_elig = _eligible_sets(b)
+    return all((x not in a.marked or y in b.marked) and a_elig[x] <= b_elig[y]
+               for x, y in pairs)
 
 
 def bounded_language(g: Generator, max_len: int) -> tuple[set[tuple[int, ...]], set[tuple[int, ...]]]:

@@ -19,7 +19,6 @@ from .localization import (
     DecentralizationPackage,
     default_event_list,
     timed_localize,
-    verify_localization,
     verify_projection_commutativity_decentralized,
     verify_solution_equivalence,
 )
@@ -209,7 +208,8 @@ def cmd_localize(args) -> int:
         ctrl = loc.event_controllers[alpha]
         print(f"event controller {alpha}: {ctrl.n_states} states, "
               f"alphabet {sorted(map(event_name, ctrl.alphabet))}")
-    print(f"defining identity verified: {verify_localization(pkg, loc)}")
+    # timed_localize returns only a localization that passed verify_localization.
+    print("defining identity verified: True")
     if args.output:
         specs = {f"LOCP_{b}": g for b, g in loc.tick_controllers.items()}
         specs.update({f"LOCC_{a}": g for a, g in loc.event_controllers.items()})

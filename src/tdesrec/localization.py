@@ -212,6 +212,8 @@ def _decision_labels(pkg: DecentralizationPackage) -> tuple[list[bool], list[fro
 def timed_localize(pkg: DecentralizationPackage) -> LocalizedSupervisor:
     """Build the decentralized supervisor for a package.
 
+    The result always passes ``verify_localization``: it is the greedy
+    localization when that verifies, and the trivial fallback otherwise.
     Raises ``ValueError`` for an empty supervisor or an empty event list and
     ``RuntimeError`` when even the trivial fallback fails verification (which
     indicates a composition bug rather than a modeling issue).

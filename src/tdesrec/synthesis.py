@@ -9,13 +9,13 @@ is preempted, not prohibited).
 from __future__ import annotations
 
 import warnings
-from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Collection, Iterable, Sequence
 
 from .automata import (
     Generator,
     _bfs_renumber,
+    _eligible_sets,
     _product,
     allevents,
     coreachable_states,
@@ -77,40 +77,46 @@ class Supervisor:
                    tuple(False for _ in range(n)))
 
 
+def _violation(plant_elig: Iterable[int], offered: Collection[int],
+               events: EventTable) -> int | None:
+    """The least plant-eligible event whose absence from ``offered`` breaks timed controllability.
+
+    That is an uncontrollable event, or tick with no forcible event offered.
+    """
+    for e in sorted(plant_elig):
+        if e in offered:
+            continue
+        if events.is_uncontrollable(e):
+            return e
+        if e == TICK and not any(events.is_forcible(f) for f in offered):
+            return e
+    return None
+
+
 def controllable(candidate: Generator, plant: TimedGenerator,
                  events: EventTable | None = None) -> tuple[bool, ControllabilityWitness | None]:
     """Check timed controllability of ``candidate`` against ``plant``.
 
-    Walks the synchronized product of candidate and plant; at every reached
-    pair each uncontrollable plant-eligible event must be candidate-eligible,
-    and a plant-eligible but candidate-disabled tick needs an eligible
-    forcible event to justify the preemption.  On failure the first offending
-    pair (in BFS order) is returned as a witness.
+    Checks the reachable pairs of the synchronized product of candidate and
+    plant, in BFS discovery order: at each pair every uncontrollable
+    plant-eligible event must be eligible in the candidate's own state, and a
+    plant-eligible tick the candidate does not offer needs a forcible event
+    the candidate offers there to justify the preemption.  On failure the
+    first offending pair and its least offending event are the witness.
     """
     events = events or plant.events
     extra = candidate.alphabet - plant.alphabet - {TICK}
     if extra:
         raise ValueError(f"candidate alphabet exceeds plant alphabet: {sorted(extra)}")
-    if candidate.is_empty:
-        return True, None
     plant_gen = plant.generator
-    start = (candidate.initial, plant_gen.initial)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        (x, p) = queue.popleft()
-        cand_elig = candidate.eligible(x)
-        for e in sorted(plant_gen.eligible(p)):
-            if e in cand_elig:
-                key = (candidate.target(x, e), plant_gen.target(p, e))
-                if key not in seen:
-                    seen.add(key)
-                    queue.append(key)
-                continue
-            if events.is_uncontrollable(e):
-                return False, ControllabilityWitness(x, p, e)
-            if e == TICK and not any(events.is_forcible(f) for f in cand_elig):
-                return False, ControllabilityWitness(x, p, TICK)
+    _, pairs = _product([candidate, plant_gen],
+                        dict.fromkeys(candidate.alphabet | plant_gen.alphabet, (0, 1)))
+    cand_elig = _eligible_sets(candidate)
+    plant_elig = _eligible_sets(plant_gen)
+    for x, p in pairs:
+        e = _violation(plant_elig[p], cand_elig[x], events)
+        if e is not None:
+            return False, ControllabilityWitness(x, p, e)
     return True, None
 
 
@@ -124,6 +130,10 @@ def supcon(plant: TimedGenerator, spec: Generator,
     runs before the coreachability sweep, which fixes the intermediate
     sequence but not the (supremal) result.  An empty supervisor is a legal
     outcome.
+
+    A state violates controllability by the rule ``controllable`` checks: the
+    plant's eligible events at its plant state against the events leading to
+    surviving states, both read off adjacency lists built once per call.
     """
     events = events or plant.events
     extra = spec.alphabet - plant.alphabet - {TICK}
@@ -135,7 +145,7 @@ def supcon(plant: TimedGenerator, spec: Generator,
     n = product.n_states
     alive = set(range(n))
     adj = product.out_edges()
-    plant_elig = [plant_gen.eligible(p) for p, _ in pairs]
+    plant_elig = _eligible_sets(plant_gen)
 
     def survivor_eligible(q: int) -> dict[int, int]:
         return {e: t for e, t in adj[q] if t in alive}
@@ -156,18 +166,7 @@ def supcon(plant: TimedGenerator, spec: Generator,
         changed = False
         # Controllability sweep.
         for q in sorted(alive):
-            offered = survivor_eligible(q)
-            bad = False
-            for e in plant_elig[q]:
-                if e in offered:
-                    continue
-                if events.is_uncontrollable(e):
-                    bad = True
-                    break
-                if e == TICK and not any(events.is_forcible(f) for f in offered):
-                    bad = True
-                    break
-            if bad:
+            if _violation(plant_elig[pairs[q][0]], survivor_eligible(q), events) is not None:
                 alive.discard(q)
                 changed = True
         # Coreachability sweep over the survivors.
@@ -192,8 +191,8 @@ def supcon(plant: TimedGenerator, spec: Generator,
     for old, new in order.items():
         p = pairs[old][0]
         plant_states[new] = p
-        offered = gen.eligible(new)
-        pe = plant_elig[old]
+        offered = survivor_eligible(old)
+        pe = plant_elig[p]
         disabled[new] = frozenset(
             e for e in pe if e not in offered and events.is_prohibitible(e)
         )

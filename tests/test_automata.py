@@ -394,6 +394,29 @@ class TestLanguageEqual:
         assert language_subset(smaller, g)
         assert not language_subset(g, smaller)
 
+    def test_subset_agrees_with_bounded_enumeration(self):
+        # A string of L(a) missing from L(b), or of Lm(a) missing from Lm(b),
+        # has a shortest example no longer than the number of state pairs.
+        # Half the pairs take ``a`` as ``b`` with transitions and marks
+        # dropped, so that inclusion often holds.
+        rng = random.Random(14)
+        verdicts = []
+        for _ in range(300):
+            b = random_generator(rng, 4, (1, 2), density=0.6)
+            if rng.random() < 0.5:
+                a = random_generator(rng, 4, (1, 2), density=0.5)
+            else:
+                a = Generator(b.n_states, b.alphabet,
+                              {k: t for k, t in b.transitions.items() if rng.random() < 0.8},
+                              b.initial, frozenset(q for q in b.marked if rng.random() < 0.8))
+            depth = a.n_states * b.n_states
+            closed_a, marked_a = bounded_language(a, depth)
+            closed_b, marked_b = bounded_language(b, depth)
+            expected = closed_a <= closed_b and marked_a <= marked_b
+            assert language_subset(a, b) == expected
+            verdicts.append(expected)
+        assert True in verdicts and False in verdicts
+
 
 class TestMinimize:
     def test_preserves_both_languages(self):

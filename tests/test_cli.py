@@ -213,11 +213,11 @@ class TestPipelineStagesOnce:
                                             command, problem):
         import sys
 
-        from tdesrec.localization import timed_localize
+        from tdesrec.localization import timed_localize, verify_localization
         from tdesrec.synthesis import mode_timed_graph
 
         calls = {}
-        for fn in (mode_timed_graph, timed_localize):
+        for fn in (mode_timed_graph, timed_localize, verify_localization):
             calls[fn.__name__] = 0
 
             def counted(*args, _fn=fn, **kwargs):
@@ -234,7 +234,8 @@ class TestPipelineStagesOnce:
                    "--reconfig", "R", "--spec", "SPEC", "--reconfig-event", "91",
                    *problem])
         assert rc == EXIT_OK
-        assert calls == {"mode_timed_graph": 1, "timed_localize": 1}
+        assert calls == {"mode_timed_graph": 1, "timed_localize": 1,
+                         "verify_localization": 1}
 
 
 class TestExportDot:

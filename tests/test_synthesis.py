@@ -9,15 +9,26 @@ from tdesrec.automata import (
     Generator,
     allevents,
     bounded_language,
+    coreachable_states,
     is_nonblocking,
     language_equal,
     language_subset,
+    meet,
+    reachable_states,
+    renumber_bfs,
     sync_product,
 )
 from tdesrec.events import PROHIBITIBLE, TICK, UNCONTROLLABLE, EventDef, EventTable
 from tdesrec.synthesis import Supervisor, controllable, supcon, synthesize_tcrs
 from tdesrec.timed import timed_graph
-from util import oracle_supremal, random_atg, random_spec
+from util import (
+    _oracle_controllable,
+    oracle_controllability_witness,
+    oracle_supremal,
+    random_atg,
+    random_generator,
+    random_spec,
+)
 
 
 def small_plant():
@@ -75,6 +86,49 @@ class TestControllable:
         candidate = Generator(gen.n_states, gen.alphabet, pruned, 0, gen.marked)
         ok, witness = controllable(candidate, plant)
         assert ok, witness
+
+    def test_forcible_offered_outside_the_plant_justifies_preemption(self):
+        # At the initial pair the candidate withholds tick and offers forcible
+        # event 1, which the plant cannot execute before a tick.  The rule
+        # reads the candidate's own eligible events, so 1 still backs the
+        # preemption.
+        atg = Generator(2, frozenset({1}), {(0, 1): 1}, 0, frozenset({1}))
+        events = EventTable([EventDef(1, PROHIBITIBLE, forcible=True,
+                                      lower=1, upper=None)])
+        plant = timed_graph(atg, events)
+        assert plant.generator.eligible(0) == {TICK}
+        candidate = Generator(2, frozenset({1, TICK}), {(0, 1): 1}, 0, frozenset({1}))
+        assert controllable(candidate, plant) == (True, None)
+
+    def test_witness_matches_shortlex_oracle(self):
+        # Candidates are random timed graphs with transitions deleted, as
+        # they are, renumbered from the initial state, or met with a random
+        # spec so that one plant state pairs with several candidate states.
+        rng = random.Random(35)
+        verdicts = []
+        while len(verdicts) < 200:
+            atg, events = random_atg(rng, max_activities=3, max_events=3,
+                                     max_bound=2)
+            try:
+                plant = timed_graph(atg, events, max_states=12)
+            except ValueError:
+                continue
+            gen = plant.generator
+            kept = {k: t for k, t in gen.transitions.items() if rng.random() < 0.8}
+            candidate = Generator(gen.n_states, gen.alphabet, kept, gen.initial,
+                                  gen.marked)
+            shape = rng.randrange(3)
+            if shape == 1:
+                candidate = renumber_bfs(candidate)
+            elif shape == 2:
+                candidate = meet(candidate, random_generator(
+                    rng, 2, tuple(sorted(gen.alphabet)), density=0.8))
+            ok, witness = controllable(candidate, plant, events)
+            got = witness and (witness.candidate_state, witness.plant_state, witness.event)
+            expected = oracle_controllability_witness(candidate, gen, events)
+            assert (ok, got) == (expected is None, expected)
+            verdicts.append(ok)
+        assert True in verdicts and False in verdicts
 
 
 class TestSupcon:
@@ -171,24 +225,11 @@ class TestSupcon:
                     transitions = dict(items[i] for i in keep)
                     cand = Generator(product.n_states, product.alphabet,
                                      transitions, product.initial, product.marked)
-                    from tdesrec.automata import (coreachable_states,
-                                                  reachable_states, renumber_bfs)
                     reach = reachable_states(cand)
                     if not reach <= coreachable_states(cand):
                         continue
-                    ok = True
-                    for q in reach:
-                        p = pairs[q][0]
-                        offered = cand.eligible(q)
-                        for e in plant.generator.eligible(p):
-                            if e in offered:
-                                continue
-                            if events.is_uncontrollable(e):
-                                ok = False
-                            elif e == TICK and not any(
-                                    events.is_forcible(f) for f in offered):
-                                ok = False
-                    if not ok:
+                    if not _oracle_controllable(cand, reach, pairs,
+                                                plant.generator, events):
                         continue
                     cand = renumber_bfs(cand)
                     if best_lang is None or language_subset(best_lang, cand):

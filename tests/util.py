@@ -265,19 +265,55 @@ def oracle_supremal(plant: TimedGenerator, spec: Generator,
     return maximal[0]
 
 
+def _oracle_violation(cand: Generator, x: int, plant_gen: Generator, p: int,
+                      events: EventTable) -> int | None:
+    """Least plant-eligible event at ``p`` whose absence at ``x`` breaks timed controllability."""
+    offered = cand.eligible(x)
+    for e in sorted(plant_gen.eligible(p)):
+        if e in offered:
+            continue
+        if events.is_uncontrollable(e):
+            return e
+        if e == TICK and not any(events.is_forcible(f) for f in offered):
+            return e
+    return None
+
+
 def _oracle_controllable(cand: Generator, reach: frozenset[int],
                          pairs, plant_gen: Generator, events: EventTable) -> bool:
-    for q in reach:
-        p = pairs[q][0]
-        offered = cand.eligible(q)
-        for e in plant_gen.eligible(p):
-            if e in offered:
-                continue
-            if events.is_uncontrollable(e):
-                return False
-            if e == TICK and not any(events.is_forcible(f) for f in offered):
-                return False
-    return True
+    return all(_oracle_violation(cand, q, plant_gen, pairs[q][0], events) is None
+               for q in reach)
+
+
+def oracle_controllability_witness(cand: Generator, plant_gen: Generator,
+                                   events: EventTable) -> tuple[int, int, int] | None:
+    """First violation of timed controllability along strings in shortlex order.
+
+    The strings in both L(cand) and L(plant) are enumerated length by
+    length, each length in lexicographic order.  The first string whose state
+    pair violates the condition gives ``(cand_state, plant_state, event)``
+    with the least violating event.  Once a length reaches no state pair that
+    shorter strings missed, no longer string can, and the enumeration stops.
+    """
+    if cand.is_empty or plant_gen.is_empty:
+        return None
+    alphabet = sorted(cand.alphabet | plant_gen.alphabet)
+    level = [()]
+    seen: set[tuple[int, int]] = set()
+    while level:
+        fresh = False
+        for string in level:
+            x, p = cand.run(string), plant_gen.run(string)
+            e = _oracle_violation(cand, x, plant_gen, p, events)
+            if e is not None:
+                return x, p, e
+            fresh |= (x, p) not in seen
+            seen.add((x, p))
+        if not fresh:
+            return None
+        level = [s + (e,) for s in level for e in alphabet
+                 if cand.run(s + (e,)) is not None and plant_gen.run(s + (e,)) is not None]
+    return None
 
 
 def check_deadline_soundness(atg: Generator, ttg: TimedGenerator) -> None:
