@@ -3,13 +3,18 @@
 States are dense integer indices.  Every operation renumbers its result in
 BFS order from the initial state, so equal inputs give structurally equal
 outputs and published orderings are reproducible.
+
+One partition refinement, ``_refine``, and one block quotient, ``_quotient``,
+serve both minimization (seeded with each state's marking and eligible
+events) and supervisor localization (seeded with each controller's decision
+labels, in ``localization``).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .events import TICK, event_name
 
@@ -310,61 +315,111 @@ def project_detail(g: Generator, erase: Iterable[int]) -> ProjectionDetail:
     return ProjectionDetail(final, tuple(frozenset(p) for p in pooled))
 
 
-def _moore_partition(gen: Generator) -> list[int]:
-    """Block ids merging states with equal closed and marked futures.
+def _successors(g: Generator) -> list[dict[int, int]]:
+    """Per-state map from each eligible event to its target."""
+    adj: list[dict[int, int]] = [{} for _ in range(g.n_states)]
+    for (src, ev), dst in g.transitions.items():
+        adj[src][ev] = dst
+    return adj
 
-    ``gen`` must already be restricted to its reachable part.  Internally the
-    automaton is completed with a dead sink so that definedness patterns are
-    part of a state's behavior; the sink never merges with a real state.
+
+def _numbered(keys: Iterable[Hashable]) -> list[int]:
+    """Block ids for per-state ``keys``, numbered by first appearance."""
+    ids: dict[Hashable, int] = {}
+    return [ids.setdefault(k, len(ids)) for k in keys]
+
+
+def _refine(block: Iterable[Hashable], adj: Sequence[Mapping[int, int]],
+            events: Sequence[int]) -> list[int]:
+    """Split the blocks of ``block`` until defined successors agree blockwise per event.
+
+    ``block`` labels each state; states with equal labels start in one block.
+    Events are taken one at a time, in order, and each split is seen by the
+    next event; passes repeat until one splits nothing.  A block splits on an
+    event when its members' defined successors lie in several blocks.  Members
+    with the event undefined then follow the largest defined group of their
+    block (ties go to the group whose target block comes first in state
+    order), which keeps blocks as coarse as the decisions allow.  Returns
+    block ids numbered by first appearance in state order.
     """
-    n = gen.n_states
-    sink = n
-    events = sorted(gen.alphabet)
-    total = {
-        (s, e): gen.transitions.get((s, e), sink) for s in range(n) for e in events
-    }
-    for e in events:
-        total[(sink, e)] = sink
-
-    def out(s: int) -> int:
-        if s == sink:
-            return 0
-        return 2 if s in gen.marked else 1
-
-    block = {s: out(s) for s in list(range(n)) + [sink]}
+    # A block is named by its least state, so names order blocks by first
+    # appearance and a split renames only the states that move.
+    first: dict[Hashable, int] = {}
+    name = [first.setdefault(k, s) for s, k in enumerate(block)]
+    members: dict[int, list[int]] = {}
+    for s, b in enumerate(name):
+        members.setdefault(b, []).append(s)
+    sources: dict[int, list[int]] = {e: [] for e in events}
+    targets: dict[int, list[int]] = {e: [] for e in events}
+    for s, succ in enumerate(adj):
+        for e, t in succ.items():
+            if e in sources:
+                sources[e].append(s)
+                targets[e].append(t)
     while True:
-        mapping: dict[tuple, int] = {}
-        new_block = {}
-        for s in sorted(block):
-            sig = (block[s],) + tuple(block[total[(s, e)]] for e in events)
-            if sig not in mapping:
-                mapping[sig] = len(mapping)
-            new_block[s] = mapping[sig]
-        stable = len(set(new_block.values())) == len(set(block.values()))
-        block = new_block
-        if stable:
-            return [block[s] for s in range(n)]
+        before = len(members)
+        for e in events:
+            first_target: dict[int, int] = {}
+            split: set[int] = set()
+            for s, t in zip(sources[e], targets[e]):
+                if first_target.setdefault(name[s], name[t]) != name[t]:
+                    split.add(name[s])
+            # Group every splitting block against the names before this
+            # event, then rename.
+            parts: list[list[int]] = []
+            for b in split:
+                groups: dict[int, list[int]] = {}
+                undefined: list[int] = []
+                for s in members.pop(b):
+                    t = adj[s].get(e)
+                    if t is None:
+                        undefined.append(s)
+                    else:
+                        groups.setdefault(name[t], []).append(s)
+                groups[max(groups, key=lambda g: (len(groups[g]), -g))] += undefined
+                parts.extend(groups.values())
+            for part in parts:
+                least = min(part)
+                members[least] = part
+                for s in part:
+                    name[s] = least
+        if len(members) == before:
+            return _numbered(name)
+
+
+def _quotient(gen: Generator, block: Sequence[int]) -> Generator:
+    """Generator whose states are the blocks of a stable partition of ``gen``.
+
+    ``block`` numbers the blocks densely from 0.  A block is marked when it
+    contains a marked state.
+    """
+    transitions = {(block[s], e): block[t] for (s, e), t in gen.transitions.items()}
+    marked = frozenset(block[s] for s in gen.marked)
+    return Generator(max(block) + 1, gen.alphabet, transitions, block[gen.initial], marked)
 
 
 def _minimal(gen: Generator) -> tuple[Generator, list[int]]:
     """Minimal form of a non-empty reachable ``gen`` and the minimal state of each state.
 
+    ``_refine`` starts from the labels (marked, eligible events), so members
+    of a block share their eligible events, the default group never applies,
+    and the result is the coarsest partition by closed and marked futures.
     The minimal form is numbered in BFS order, so two generators with the same
     closed and marked languages (and alphabet) give equal minimal forms.
     """
-    block = _moore_partition(gen)
-    transitions = {
-        (block[s], e): block[t] for (s, e), t in gen.transitions.items()
-    }
-    marked = frozenset(block[s] for s in gen.marked)
-    quotient = Generator(max(block) + 1, gen.alphabet, transitions,
-                         block[gen.initial], marked)
-    final, order = _bfs_renumber(quotient)
+    adj = _successors(gen)
+    block = _refine(((s in gen.marked, frozenset(succ)) for s, succ in enumerate(adj)),
+                    adj, sorted(gen.alphabet))
+    final, order = _bfs_renumber(_quotient(gen, block))
     return final, [order[b] for b in block]
 
 
 def minimize(g: Generator) -> Generator:
-    """Smallest deterministic generator with the same closed and marked languages."""
+    """Smallest deterministic generator with the same closed and marked languages.
+
+    It is the quotient of the reachable part of ``g`` under ``_refine``
+    seeded with (marked, eligible events), numbered in BFS order.
+    """
     if g.is_empty:
         return g
     return _minimal(renumber_bfs(g))[0]

@@ -3,10 +3,12 @@
 Each prohibitible event gets a local event controller carrying exactly that
 event's enable/disable decisions, and each forcible event a local tick
 controller carrying exactly that event's tick-preemption decisions.  A
-controller is a quotient of the supervisor: states are merged when they agree
-on the owned decision, agree on marking relative to the plant, and stay
-successor-consistent; events whose quotient transitions are self-loops
-everywhere are dropped from the controller's alphabet.
+controller is a quotient of the supervisor under the partition that
+``automata._refine`` computes from the labels (owned decision, marked by the
+plant but not by the supervisor): states are merged when they agree on those
+labels and stay successor-consistent, a state with an event undefined joining
+the largest group of its block.  Events whose quotient transitions are
+self-loops everywhere are dropped from the controller's alphabet.
 
 A final disambiguation pass keeps the joint state knowledge of plant plus all
 controllers injective over supervisor states, so the decentralized closed
@@ -23,9 +25,10 @@ so one ``timed_localize`` call serves both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .automata import Generator, language_equal, renumber_bfs, sync_product
+from .automata import (Generator, _eligible_sets, _numbered, _quotient, _refine, _successors,
+                       language_equal, renumber_bfs, sync_product)
 from .events import TICK, EventTable, event_name
 from .solver import (
     CommutativityReport,
@@ -95,118 +98,40 @@ def _neutral_generator() -> Generator:
     return Generator(1, frozenset(), {}, 0, frozenset({0}))
 
 
-class _Partition:
-    """A block assignment over supervisor states, refined until stable."""
-
-    def __init__(self, labels: Sequence[tuple]):
-        self.block = self._normalize({i: lbl for i, lbl in enumerate(labels)})
-
-    @staticmethod
-    def _normalize(raw: Mapping[int, object]) -> list[int]:
-        ids: dict[object, int] = {}
-        out = [0] * len(raw)
-        for s in sorted(raw):
-            key = raw[s]
-            if key not in ids:
-                ids[key] = len(ids)
-            out[s] = ids[key]
-        return out
-
-    def n_blocks(self) -> int:
-        return len(set(self.block))
-
-    def refine(self, adj: Sequence[Mapping[int, int]], events: Sequence[int]) -> None:
-        """Split blocks until defined successors agree blockwise per event.
-
-        Members with the event undefined follow the largest defined group of
-        their block (ties broken by smallest group id), which keeps blocks as
-        coarse as the decisions allow.
-        """
-        while True:
-            before = self.n_blocks()
-            for e in events:
-                members: dict[int, list[int]] = {}
-                for s, b in enumerate(self.block):
-                    members.setdefault(b, []).append(s)
-                assign: dict[int, object] = {}
-                for b, states in members.items():
-                    groups: dict[int, list[int]] = {}
-                    undefined: list[int] = []
-                    for s in states:
-                        t = adj[s].get(e)
-                        if t is None:
-                            undefined.append(s)
-                        else:
-                            groups.setdefault(self.block[t], []).append(s)
-                    if len(groups) <= 1:
-                        for s in states:
-                            assign[s] = (b,)
-                        continue
-                    default = max(groups, key=lambda g: (len(groups[g]), -g))
-                    for g, ss in groups.items():
-                        for s in ss:
-                            assign[s] = (b, g)
-                    for s in undefined:
-                        assign[s] = (b, default)
-                self.block = self._normalize(assign)
-            if self.n_blocks() == before:
-                return
-
-    def split_apart(self, states: Sequence[int]) -> None:
-        """Force the given states into pairwise distinct blocks."""
-        assign: dict[int, object] = {s: (b,) for s, b in enumerate(self.block)}
-        for rank, s in enumerate(sorted(states)):
-            assign[s] = (self.block[s], "split", rank)
-        self.block = self._normalize(assign)
+def _split_apart(block: Sequence[int], states: Iterable[int]) -> list[int]:
+    """``block`` with each of ``states`` moved into a block of its own."""
+    alone = set(states)
+    return _numbered((b, s if s in alone else -1) for s, b in enumerate(block))
 
 
-def _quotient(sup: Supervisor, partition: _Partition,
-              protected: frozenset[int]) -> Generator:
-    """Quotient generator of the supervisor under a stable partition.
+def _controller(gen: Generator, block: Sequence[int], protected: frozenset[int]) -> Generator:
+    """Quotient of the supervisor under a stable partition, as a local controller.
 
-    A block is marked when it contains a marked supervisor state.  Events
-    outside ``protected`` whose transitions are self-loops at every block are
-    dropped from the alphabet.
+    Events outside ``protected`` whose transitions are self-loops at every
+    block are dropped from the alphabet.
     """
-    gen = sup.automaton
-    block = partition.block
-    n_blocks = partition.n_blocks()
-    transitions: dict[tuple[int, int], int] = {}
-    for (s, e), t in gen.transitions.items():
-        transitions[(block[s], e)] = block[t]
-    marked = frozenset(block[s] for s in gen.marked)
-    droppable = set()
-    per_event_sources: dict[int, set[int]] = {}
-    for (b, e) in transitions:
-        per_event_sources.setdefault(e, set()).add(b)
-    for e in gen.alphabet - protected:
-        sources = per_event_sources.get(e, set())
-        if len(sources) == n_blocks and all(
-                transitions[(b, e)] == b for b in sources):
-            droppable.add(e)
-    alphabet = gen.alphabet - droppable
-    kept = {(b, e): t for (b, e), t in transitions.items() if e not in droppable}
-    raw = Generator(n_blocks, alphabet, kept, block[gen.initial], marked)
-    return renumber_bfs(raw)
+    quotient = _quotient(gen, block)
+    dropped = {e for e in gen.alphabet - protected
+               if all(quotient.target(b, e) == b for b in range(quotient.n_states))}
+    kept = {(b, e): t for (b, e), t in quotient.transitions.items() if e not in dropped}
+    return renumber_bfs(Generator(quotient.n_states, gen.alphabet - dropped, kept,
+                                  quotient.initial, quotient.marked))
 
 
-def _decision_labels(pkg: DecentralizationPackage) -> tuple[list[bool], list[frozenset[int]], list[frozenset[int]]]:
-    """Per supervisor state: plant marking, plant-eligible events, supervised events."""
+def _plant_labels(pkg: DecentralizationPackage) -> tuple[list[bool], list[frozenset[int]]]:
+    """Per supervisor state: plant marking and plant-eligible events."""
     sup = pkg.supervisor
     plant_gen = pkg.plant.generator
-    plant_adj = plant_gen.out_edges()
-    sup_adj = sup.automaton.out_edges()
+    plant_elig_at = _eligible_sets(plant_gen)
     plant_marked = []
     plant_elig = []
-    sup_elig = []
     for x in range(sup.n_states):
         p = sup.plant_states[x]
         if not (0 <= p < plant_gen.n_states):
             raise ValueError(f"supervisor state {x} tracks unknown plant state {p}")
         plant_marked.append(p in plant_gen.marked)
-        plant_elig.append(frozenset(e for e, _ in plant_adj[p]))
-        sup_elig.append(frozenset(e for e, _ in sup_adj[x]))
-    return plant_marked, plant_elig, sup_elig
+        plant_elig.append(plant_elig_at[p])
+    return plant_marked, plant_elig
 
 
 def timed_localize(pkg: DecentralizationPackage) -> LocalizedSupervisor:
@@ -230,30 +155,20 @@ def timed_localize(pkg: DecentralizationPackage) -> LocalizedSupervisor:
     if not event_targets and not tick_targets:
         raise ValueError("event list contains no prohibitible or forcible events")
 
-    plant_marked, plant_elig, sup_elig = _decision_labels(pkg)
-    sup_marked = [x in gen.marked for x in range(gen.n_states)]
-    demarked = [plant_marked[x] and not sup_marked[x] for x in range(gen.n_states)]
-
-    adj_maps: list[dict[int, int]] = [dict() for _ in range(gen.n_states)]
-    for (s, e), t in gen.transitions.items():
-        adj_maps[s][e] = t
+    plant_marked, plant_elig = _plant_labels(pkg)
+    adj = _successors(gen)
+    demarked = [plant_marked[x] and x not in gen.marked for x in range(gen.n_states)]
     events_sorted = sorted(gen.alphabet)
 
-    partitions: list[tuple[str, int, _Partition]] = []
+    partitions: list[tuple[str, int, list[int]]] = []
     for alpha in event_targets:
-        disable = [alpha in plant_elig[x] and alpha not in sup_elig[x]
-                   for x in range(gen.n_states)]
-        labels = [(disable[x], demarked[x]) for x in range(gen.n_states)]
-        part = _Partition(labels)
-        part.refine(adj_maps, events_sorted)
-        partitions.append(("event", alpha, part))
+        labels = [(alpha in plant_elig[x] and alpha not in adj[x], demarked[x])
+                  for x in range(gen.n_states)]
+        partitions.append(("event", alpha, _refine(labels, adj, events_sorted)))
     for beta in tick_targets:
-        preempt = [TICK in plant_elig[x] and TICK not in sup_elig[x]
-                   and beta in sup_elig[x] for x in range(gen.n_states)]
-        labels = [(preempt[x], demarked[x]) for x in range(gen.n_states)]
-        part = _Partition(labels)
-        part.refine(adj_maps, events_sorted)
-        partitions.append(("tick", beta, part))
+        labels = [(TICK in plant_elig[x] and TICK not in adj[x] and beta in adj[x],
+                   demarked[x]) for x in range(gen.n_states)]
+        partitions.append(("tick", beta, _refine(labels, adj, events_sorted)))
 
     # Disambiguation: the plant state plus the controllers' joint knowledge
     # must identify the supervisor state, otherwise the decentralized closed
@@ -262,25 +177,23 @@ def timed_localize(pkg: DecentralizationPackage) -> LocalizedSupervisor:
     while True:
         joint: dict[tuple, list[int]] = {}
         for x in range(gen.n_states):
-            key = (sup.plant_states[x],) + tuple(p.block[x] for _, _, p in partitions)
+            key = (sup.plant_states[x],) + tuple(block[x] for _, _, block in partitions)
             joint.setdefault(key, []).append(x)
-        clashes = [xs for xs in joint.values() if len(xs) > 1]
+        clashes = [x for xs in joint.values() if len(xs) > 1 for x in xs]
         if not clashes:
             break
-        anchor = partitions[0][2]
-        for xs in clashes:
-            anchor.split_apart(xs)
-        anchor.refine(adj_maps, events_sorted)
+        kind, label, anchor = partitions[0]
+        partitions[0] = (kind, label, _refine(_split_apart(anchor, clashes), adj, events_sorted))
 
     tick_controllers = {}
     event_controllers = {}
-    for kind, label, part in partitions:
+    for kind, label, block in partitions:
         protected = frozenset({label}) if kind == "event" else frozenset({TICK, label})
-        quotient = _quotient(sup, part, protected & gen.alphabet)
+        controller = _controller(gen, block, protected)
         if kind == "event":
-            event_controllers[label] = quotient
+            event_controllers[label] = controller
         else:
-            tick_controllers[label] = quotient
+            tick_controllers[label] = controller
 
     loc = _compose(tick_controllers, event_controllers, used_fallback=False)
     if verify_localization(pkg, loc):

@@ -28,7 +28,12 @@ from tdesrec.events import (
     EventTable,
     event_name,
 )
-from util import oracle_language_equal, oracle_product_membership, random_generator
+from util import (
+    oracle_language_equal,
+    oracle_minimal_states,
+    oracle_product_membership,
+    random_generator,
+)
 
 
 def chain(events, marked_last=True):
@@ -434,6 +439,27 @@ class TestMinimize:
             {(0, 1): 1, (0, 2): 2, (1, 1): 3, (2, 1): 3},
             0, frozenset({3}))
         assert minimize(g).n_states == 3
+
+    def test_state_count_matches_future_oracle(self):
+        rng = random.Random(29)
+        merged = 0
+        for i in range(300):
+            n = rng.randint(1, 6)
+            alphabet = tuple(range(1, rng.randint(1, 3) + 1))
+            transitions = {(s, e): rng.randrange(n) for s in range(n) for e in alphabet
+                           if rng.random() < 0.6}
+            marked = frozenset(s for s in range(n) if rng.random() < 0.5)
+            if i % 2:
+                # Give every state a twin with the same futures.
+                transitions = {(s + k * n, e): t + rng.randrange(2) * n
+                               for (s, e), t in transitions.items() for k in (0, 1)}
+                marked |= {s + n for s in marked}
+                n *= 2
+            g = Generator(n, frozenset(alphabet), transitions, rng.randrange(n), marked)
+            expected = oracle_minimal_states(g)
+            assert minimize(g).n_states == expected
+            merged += expected < renumber_bfs(g).n_states
+        assert merged > 50
 
 
 class TestDot:

@@ -6,6 +6,7 @@ import pytest
 
 from tdesrec.automata import (
     Generator,
+    _refine,
     allevents,
     language_equal,
     language_subset,
@@ -14,6 +15,7 @@ from tdesrec.automata import (
 from tdesrec.events import PROHIBITIBLE, TICK, UNCONTROLLABLE, EventDef, EventTable
 from tdesrec.localization import (
     DecentralizationPackage,
+    _split_apart,
     decentralized_closed_loop,
     default_event_list,
     timed_localize,
@@ -24,7 +26,7 @@ from tdesrec.localization import (
 from tdesrec.solver import ReconfigProblem, trs
 from tdesrec.synthesis import Supervisor, supcon
 from tdesrec.timed import timed_graph
-from util import random_pipeline_supervisor, sample_problems
+from util import OraclePartition, random_pipeline_supervisor, sample_problems
 
 
 def single_loop_package():
@@ -59,6 +61,33 @@ class TestPackage:
     def test_projection_returns_supervisor_unchanged(self):
         pkg = single_loop_package()
         assert pkg.tcrs is pkg.supervisor
+
+
+class TestRefine:
+    def test_refiner_and_split_match_partition_oracle(self):
+        # Few states, few blocks and partial successors make ties between
+        # equally large groups, and members with the event undefined, common.
+        rng = random.Random(31)
+        for _ in range(2500):
+            n = rng.randint(1, 9)
+            events = rng.sample(range(1, 5), rng.randint(1, 4))
+            adj = [{e: rng.randrange(n) for e in events if rng.random() < 0.6}
+                   for _ in range(n)]
+            labels = [(rng.random() < 0.3, rng.randrange(2)) for _ in range(n)]
+            oracle = OraclePartition(labels)
+            oracle.refine(adj, events)
+            block = _refine(labels, adj, events)
+            assert block == oracle.block
+            # Disjoint groups forced apart one after another, then refined
+            # again, as localization's disambiguation does.
+            states = rng.sample(range(n), rng.randint(0, n))
+            cut = rng.randint(0, len(states))
+            for group in (states[:cut], states[cut:]):
+                oracle.split_apart(group)
+            split = _split_apart(block, states)
+            assert split == oracle.block
+            oracle.refine(adj, events)
+            assert _refine(split, adj, events) == oracle.block
 
 
 class TestTimedLocalize:

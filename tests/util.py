@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations, product
+from typing import Mapping, Sequence
 
 from tdesrec.automata import Generator, bounded_language
 from tdesrec.events import TICK, PROHIBITIBLE, UNCONTROLLABLE, EventDef, EventTable
@@ -138,6 +139,91 @@ def sample_problems(rng: random.Random, sup: Supervisor,
 def oracle_language_equal(a: Generator, b: Generator, depth: int) -> bool:
     """Bounded-enumeration language comparison."""
     return bounded_language(a, depth) == bounded_language(b, depth)
+
+
+def oracle_minimal_states(g: Generator) -> int:
+    """Number of reachable states of ``g`` told apart by their futures.
+
+    A state's future is its closed and marked language up to length
+    ``g.n_states``, long enough to separate any two inequivalent states.
+    """
+    reachable = {g.run(s) for s in bounded_language(g, g.n_states)[0]}
+    futures = set()
+    for q in reachable:
+        from_q = Generator(g.n_states, g.alphabet, g.transitions, q, g.marked)
+        closed, marked = bounded_language(from_q, g.n_states)
+        futures.add((frozenset(closed), frozenset(marked)))
+    return len(futures)
+
+
+class OraclePartition:
+    """A block assignment over supervisor states, refined until stable.
+
+    The reference copy of the rule ``automata._refine`` implements, as first
+    written for supervisor localization: blocks are renumbered by first
+    appearance after every event.
+    """
+
+    def __init__(self, labels: Sequence[tuple]):
+        self.block = self._normalize({i: lbl for i, lbl in enumerate(labels)})
+
+    @staticmethod
+    def _normalize(raw: Mapping[int, object]) -> list[int]:
+        ids: dict[object, int] = {}
+        out = [0] * len(raw)
+        for s in sorted(raw):
+            key = raw[s]
+            if key not in ids:
+                ids[key] = len(ids)
+            out[s] = ids[key]
+        return out
+
+    def n_blocks(self) -> int:
+        return len(set(self.block))
+
+    def refine(self, adj: Sequence[Mapping[int, int]], events: Sequence[int]) -> None:
+        """Split blocks until defined successors agree blockwise per event.
+
+        Members with the event undefined follow the largest defined group of
+        their block (ties broken by smallest group id), which keeps blocks as
+        coarse as the decisions allow.
+        """
+        while True:
+            before = self.n_blocks()
+            for e in events:
+                members: dict[int, list[int]] = {}
+                for s, b in enumerate(self.block):
+                    members.setdefault(b, []).append(s)
+                assign: dict[int, object] = {}
+                for b, states in members.items():
+                    groups: dict[int, list[int]] = {}
+                    undefined: list[int] = []
+                    for s in states:
+                        t = adj[s].get(e)
+                        if t is None:
+                            undefined.append(s)
+                        else:
+                            groups.setdefault(self.block[t], []).append(s)
+                    if len(groups) <= 1:
+                        for s in states:
+                            assign[s] = (b,)
+                        continue
+                    default = max(groups, key=lambda g: (len(groups[g]), -g))
+                    for g, ss in groups.items():
+                        for s in ss:
+                            assign[s] = (b, g)
+                    for s in undefined:
+                        assign[s] = (b, default)
+                self.block = self._normalize(assign)
+            if self.n_blocks() == before:
+                return
+
+    def split_apart(self, states: Sequence[int]) -> None:
+        """Force the given states into pairwise distinct blocks."""
+        assign: dict[int, object] = {s: (b,) for s, b in enumerate(self.block)}
+        for rank, s in enumerate(sorted(states)):
+            assign[s] = (self.block[s], "split", rank)
+        self.block = self._normalize(assign)
 
 
 def oracle_product_membership(components: list[Generator],
