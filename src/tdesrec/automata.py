@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .events import TICK, event_name
 
@@ -261,6 +261,11 @@ def project_detail(g: Generator, erase: Iterable[int]) -> ProjectionDetail:
     subset construction (a subset is marked iff it contains a marked state)
     and reduced to its minimal form.  Both the closed and the marked language
     are preserved exactly, so blocking parts of the source survive.
+
+    Subsets are integer bitsets over source states.  Each state's closure
+    over erased events is computed once, so a subset's move on an event is
+    the OR of its members' target closures.  Subsets are discovered in BFS
+    order with events in sorted order, and merged states pool their subsets.
     """
     erased = frozenset(erase)
     if not erased <= g.alphabet:
@@ -268,51 +273,75 @@ def project_detail(g: Generator, erase: Iterable[int]) -> ProjectionDetail:
     alphabet = g.alphabet - erased
     if g.is_empty:
         return ProjectionDetail(Generator(0, alphabet, {}, 0, frozenset()), ())
-    adj = g.out_edges()
-
-    def closure(states: Iterable[int]) -> frozenset[int]:
-        seen = set(states)
-        queue = deque(seen)
-        while queue:
-            q = queue.popleft()
-            for e, dst in adj[q]:
-                if e in erased and dst not in seen:
-                    seen.add(dst)
-                    queue.append(dst)
-        return frozenset(seen)
-
-    start = closure([g.initial])
-    index: dict[frozenset[int], int] = {start: 0}
-    subsets: list[frozenset[int]] = [start]
-    queue = deque([start])
+    silent: list[list[int]] = [[] for _ in range(g.n_states)]
+    visible: list[list[tuple[int, int]]] = [[] for _ in range(g.n_states)]
+    for (src, ev), dst in g.transitions.items():
+        if ev in erased:
+            silent[src].append(dst)
+        else:
+            visible[src].append((ev, dst))
+    closure = _closures(silent)
+    moves = [[(e, closure[dst]) for e, dst in edges] for edges in visible]
+    marked_mask = sum(1 << q for q in g.marked)
+    start = closure[g.initial]
+    index: dict[int, int] = {start: 0}
+    subsets: list[int] = [start]
     transitions: dict[tuple[int, int], int] = {}
     marked: set[int] = set()
-    while queue:
-        subset = queue.popleft()
-        sid = index[subset]
-        if subset & g.marked:
+    # ``subsets`` grows while it is walked, so it is the BFS queue.
+    for sid, subset in enumerate(subsets):
+        if subset & marked_mask:
             marked.add(sid)
-        moves: dict[int, set[int]] = {}
-        for q in subset:
-            for e, dst in adj[q]:
-                if e not in erased:
-                    moves.setdefault(e, set()).add(dst)
-        for e in sorted(moves):
-            key = closure(moves[e])
+        targets: dict[int, int] = {}
+        for q in _members(subset):
+            for e, mask in moves[q]:
+                targets[e] = targets.get(e, 0) | mask
+        for e in sorted(targets):
+            key = targets[e]
             if key not in index:
-                index[key] = len(index)
+                index[key] = len(subsets)
                 subsets.append(key)
-                queue.append(key)
             transitions[(sid, e)] = index[key]
-    gen = Generator(len(index), alphabet, transitions, 0, frozenset(marked))
+    gen = Generator(len(subsets), alphabet, transitions, 0, frozenset(marked))
     # The construction is reachable by design, as _minimal requires; the
     # minimal form preserves the closed language too, so blocking parts
     # survive.  Merged states pool their source-state subsets.
     final, to_final = _minimal(gen)
-    pooled: list[set[int]] = [set() for _ in range(final.n_states)]
+    pooled = [0] * final.n_states
     for subset, q in zip(subsets, to_final):
-        pooled[q].update(subset)
-    return ProjectionDetail(final, tuple(frozenset(p) for p in pooled))
+        pooled[q] |= subset
+    return ProjectionDetail(final, tuple(frozenset(_members(p)) for p in pooled))
+
+
+def _closures(silent: Sequence[Sequence[int]]) -> list[int]:
+    """Per state, the bitset of states reachable over ``silent`` edges, itself included.
+
+    States are taken from the last down, so an edge to a later state meets a
+    known closure, which the search takes whole without expanding.  A search
+    never revisits a state, so it ends on cycles of silent edges.
+    """
+    closure = [0] * len(silent)
+    for q in range(len(silent) - 1, -1, -1):
+        mask = 1 << q
+        stack = [q]
+        while stack:
+            for t in silent[stack.pop()]:
+                if not mask >> t & 1:
+                    if closure[t]:
+                        mask |= closure[t]
+                    else:
+                        mask |= 1 << t
+                        stack.append(t)
+        closure[q] = mask
+    return closure
+
+
+def _members(mask: int) -> Iterator[int]:
+    """The set bits of ``mask``, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _successors(g: Generator) -> list[dict[int, int]]:

@@ -15,6 +15,7 @@ from tdesrec.automata import (
     minimize,
     project,
     project_detail,
+    reachable_states,
     renumber_bfs,
     sync_product,
     to_dot,
@@ -32,7 +33,10 @@ from util import (
     oracle_language_equal,
     oracle_minimal_states,
     oracle_product_membership,
+    oracle_project_detail,
+    oracle_subset_map,
     random_generator,
+    random_projection_input,
 )
 
 
@@ -295,6 +299,53 @@ class TestProject:
         assert all(isinstance(s, frozenset) for s in detail.subsets)
         # The initial subset is the tick closure of the initial state.
         assert 0 in detail.subsets[0] and 1 in detail.subsets[0]
+
+    @staticmethod
+    def _has_erased_cycle(g, erase):
+        step: dict[int, set[int]] = {}
+        for (s, e), t in g.transitions.items():
+            if e in erase:
+                step.setdefault(s, set()).add(t)
+        for q in step:
+            seen: set[int] = set()
+            todo = list(step[q])
+            while todo:
+                s = todo.pop()
+                if s == q:
+                    return True
+                if s not in seen:
+                    seen.add(s)
+                    todo.extend(step.get(s, ()))
+        return False
+
+    def test_bitset_construction_matches_frozenset_oracle(self):
+        rng = random.Random(41)
+        cases = dict.fromkeys(("empty", "nothing erased", "erased cycle", "three erased",
+                               "unreachable", "initial not 0", "marked"), 0)
+        for _ in range(2500):
+            g, erase = random_projection_input(rng)
+            assert project_detail(g, erase) == oracle_project_detail(g, erase)
+            cases["empty"] += g.is_empty
+            cases["nothing erased"] += not erase
+            cases["erased cycle"] += self._has_erased_cycle(g, erase)
+            cases["three erased"] += len(erase) == 3
+            cases["unreachable"] += len(reachable_states(g)) < g.n_states
+            cases["initial not 0"] += g.initial != 0
+            cases["marked"] += bool(g.marked)
+        assert min(cases.values()) >= 100, cases
+
+    def test_subsets_are_the_states_behind_each_projected_state(self):
+        # Each pooled subset holds exactly the source states reached by the
+        # strings whose erased image leads to its projected state.
+        rng = random.Random(43)
+        for _ in range(2000):
+            g, erase = random_projection_input(rng, max_states=6, max_events=3)
+            detail = project_detail(g, erase)
+            proj = detail.generator
+            assert oracle_subset_map(g, erase, proj) == {
+                p: set(subset) for p, subset in enumerate(detail.subsets)}
+            if not g.is_empty:
+                assert proj.n_states == oracle_minimal_states(proj)
 
 
 class TestAllEvents:

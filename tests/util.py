@@ -9,10 +9,11 @@ values frozen into tests were produced by these oracles.
 from __future__ import annotations
 
 import random
+from collections import deque
 from itertools import combinations, product
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from tdesrec.automata import Generator, bounded_language
+from tdesrec.automata import Generator, ProjectionDetail, _minimal, bounded_language
 from tdesrec.events import TICK, PROHIBITIBLE, UNCONTROLLABLE, EventDef, EventTable
 from tdesrec.synthesis import Supervisor, supcon
 from tdesrec.timed import TimedGenerator, timed_graph
@@ -155,6 +156,108 @@ def oracle_minimal_states(g: Generator) -> int:
         futures.add((frozenset(closed), frozenset(marked)))
     return len(futures)
 
+
+
+def oracle_project_detail(g: Generator, erase: Iterable[int]) -> ProjectionDetail:
+    """``automata.project_detail`` as first written, on ``frozenset`` subsets.
+
+    The reference copy of the subset construction: every move's closure over
+    erased events is a fresh BFS.  Minimization and pooling are the program's.
+    """
+    erased = frozenset(erase)
+    if not erased <= g.alphabet:
+        raise ValueError(f"erase set {sorted(erased)} not contained in alphabet")
+    alphabet = g.alphabet - erased
+    if g.is_empty:
+        return ProjectionDetail(Generator(0, alphabet, {}, 0, frozenset()), ())
+    adj = g.out_edges()
+
+    def closure(states: Iterable[int]) -> frozenset[int]:
+        seen = set(states)
+        queue = deque(seen)
+        while queue:
+            q = queue.popleft()
+            for e, dst in adj[q]:
+                if e in erased and dst not in seen:
+                    seen.add(dst)
+                    queue.append(dst)
+        return frozenset(seen)
+
+    start = closure([g.initial])
+    index: dict[frozenset[int], int] = {start: 0}
+    subsets: list[frozenset[int]] = [start]
+    queue = deque([start])
+    transitions: dict[tuple[int, int], int] = {}
+    marked: set[int] = set()
+    while queue:
+        subset = queue.popleft()
+        sid = index[subset]
+        if subset & g.marked:
+            marked.add(sid)
+        moves: dict[int, set[int]] = {}
+        for q in subset:
+            for e, dst in adj[q]:
+                if e not in erased:
+                    moves.setdefault(e, set()).add(dst)
+        for e in sorted(moves):
+            key = closure(moves[e])
+            if key not in index:
+                index[key] = len(index)
+                subsets.append(key)
+                queue.append(key)
+            transitions[(sid, e)] = index[key]
+    gen = Generator(len(index), alphabet, transitions, 0, frozenset(marked))
+    final, to_final = _minimal(gen)
+    pooled: list[set[int]] = [set() for _ in range(final.n_states)]
+    for subset, q in zip(subsets, to_final):
+        pooled[q].update(subset)
+    return ProjectionDetail(final, tuple(frozenset(p) for p in pooled))
+
+
+def oracle_subset_map(g: Generator, erase: frozenset[int],
+                      proj: Generator) -> dict[int | None, set[int]]:
+    """Per state of ``proj``, the states of ``g`` reached by the strings leading to it.
+
+    A string of ``g`` leads to the state its erased image reaches in
+    ``proj`` (None where the image is undefined there).  Strings are
+    extended one event at a time, keeping one string per (source state,
+    projected state) pair, until no longer string reaches a new pair.
+    """
+    reached: dict[int | None, set[int]] = {}
+    if g.is_empty:
+        return reached
+    frontier = {(g.initial, proj.initial)}
+    seen = set(frontier)
+    while frontier:
+        longer = set()
+        for q, p in frontier:
+            reached.setdefault(p, set()).add(q)
+            if p is None:
+                continue
+            for (s, e), t in g.transitions.items():
+                if s == q:
+                    pair = (t, p if e in erase else proj.transitions.get((p, e)))
+                    if pair not in seen:
+                        seen.add(pair)
+                        longer.add(pair)
+        frontier = longer
+    return reached
+
+
+def random_projection_input(rng: random.Random, max_states: int = 7,
+                            max_events: int = 4) -> tuple[Generator, frozenset[int]]:
+    """A random generator, possibly empty, with unreachable states and any
+    initial state, plus an erase set of 0 to 3 of its events."""
+    alphabet = tuple(range(1, rng.randint(1, max_events) + 1))
+    erase = frozenset(rng.sample(alphabet, rng.randint(0, min(3, len(alphabet)))))
+    n = rng.randint(0, max_states)
+    if n == 0:
+        return Generator(0, frozenset(alphabet), {}, 0, frozenset()), erase
+    density = rng.uniform(0.2, 0.8)
+    transitions = {(s, e): rng.randrange(n) for s in range(n) for e in alphabet
+                   if rng.random() < density}
+    marked = frozenset(s for s in range(n) if rng.random() < 0.4)
+    return Generator(n, frozenset(alphabet), transitions, rng.randrange(n), marked), erase
 
 class OraclePartition:
     """A block assignment over supervisor states, refined until stable.
