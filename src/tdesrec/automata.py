@@ -89,8 +89,11 @@ class Generator:
 
 
 def _eligible_sets(g: Generator) -> list[frozenset[int]]:
-    """Per-state eligible events of ``g``, from one adjacency pass."""
-    return [frozenset(e for e, _ in edges) for edges in g.out_edges()]
+    """Per-state eligible events of ``g``, from one pass over its transitions."""
+    elig: list[list[int]] = [[] for _ in range(g.n_states)]
+    for src, e in g.transitions:
+        elig[src].append(e)
+    return [frozenset(events) for events in elig]
 
 
 def _bfs_parents(g: Generator) -> dict[int, tuple[int, int] | None]:

@@ -18,7 +18,6 @@ from .automata import (
     _eligible_sets,
     _product,
     allevents,
-    coreachable_states,
     sync_product,
 )
 from .events import TICK, EventTable, event_name
@@ -124,16 +123,20 @@ def supcon(plant: TimedGenerator, spec: Generator,
            events: EventTable | None = None) -> Supervisor:
     """Greatest-fixpoint synthesis of the supremal controllable nonblocking behavior.
 
-    Starts from the fully synchronized product of plant and spec and
-    repeatedly deletes states that violate controllability or coreachability
-    until nothing changes.  Within one iteration the controllability sweep
-    runs before the coreachability sweep, which fixes the intermediate
-    sequence but not the (supremal) result.  An empty supervisor is a legal
-    outcome.
+    Starts from the fully synchronized product of plant and spec and deletes
+    the states that violate controllability or coreachability until none
+    does.  A worklist drives the deletions on one adjacency of the product:
+    a state deleted for either reason puts its predecessors back on the
+    controllability worklist, since only their offered events changed, and
+    once the worklist runs dry one backward search from the surviving marked
+    states deletes the survivors that cannot reach them.  Both conditions
+    only get harder to meet as states go, so the survivors are the unique
+    greatest set meeting both, whatever the deletion order; they are then
+    renumbered in BFS order.  An empty supervisor is a legal outcome.
 
     A state violates controllability by the rule ``controllable`` checks: the
     plant's eligible events at its plant state against the events leading to
-    surviving states, both read off adjacency lists built once per call.
+    surviving states.
     """
     events = events or plant.events
     extra = spec.alphabet - plant.alphabet - {TICK}
@@ -143,47 +146,53 @@ def supcon(plant: TimedGenerator, spec: Generator,
     product, pairs = _product([plant_gen, spec],
                               dict.fromkeys(plant_gen.alphabet | spec.alphabet, (0, 1)))
     n = product.n_states
-    alive = set(range(n))
+    empty = Supervisor(Generator(0, product.alphabet, {}, 0, frozenset()), events, (), (), ())
+    if n == 0:
+        return empty
     adj = product.out_edges()
+    preds: list[list[int]] = [[] for _ in range(n)]
+    for q, edges in enumerate(adj):
+        for _, t in edges:
+            preds[t].append(q)
+    alive = [True] * n
     plant_elig = _eligible_sets(plant_gen)
 
-    def survivor_eligible(q: int) -> dict[int, int]:
-        return {e: t for e, t in adj[q] if t in alive}
+    def offered(q: int) -> dict[int, int]:
+        return {e: t for e, t in adj[q] if alive[t]}
 
-    def restricted() -> Generator:
-        """The product confined to the surviving states."""
-        return Generator(
-            n,
-            product.alphabet,
-            {(s, e): t for (s, e), t in product.transitions.items()
-             if s in alive and t in alive},
-            product.initial,
-            product.marked & frozenset(alive),
-        )
+    pending = list(range(n))
+    while pending and alive[product.initial]:
+        while pending:
+            q = pending.pop()
+            if alive[q] and _violation(plant_elig[pairs[q][0]], offered(q),
+                                       events) is not None:
+                alive[q] = False
+                pending += preds[q]
+        coreachable = [False] * n
+        stack = [q for q in product.marked if alive[q]]
+        for q in stack:
+            coreachable[q] = True
+        while stack:
+            for p in preds[stack.pop()]:
+                if alive[p] and not coreachable[p]:
+                    coreachable[p] = True
+                    stack.append(p)
+        for q in range(n):
+            if alive[q] and not coreachable[q]:
+                alive[q] = False
+                pending += preds[q]
 
-    changed = True
-    while changed and alive:
-        changed = False
-        # Controllability sweep.
-        for q in sorted(alive):
-            if _violation(plant_elig[pairs[q][0]], survivor_eligible(q), events) is not None:
-                alive.discard(q)
-                changed = True
-        # Coreachability sweep over the survivors.
-        if alive:
-            coreach = coreachable_states(restricted())
-            dead = alive - coreach
-            if dead:
-                alive -= dead
-                changed = True
-        if product.initial not in alive:
-            alive.clear()
-
-    if not alive or product.initial not in alive:
-        empty = Generator(0, product.alphabet, {}, 0, frozenset())
-        return Supervisor(empty, events, (), (), ())
-
-    gen, order = _bfs_renumber(restricted())
+    del preds  # freed before the survivors are copied, to keep the peak down
+    if not alive[product.initial]:
+        return empty
+    survivors = Generator(
+        n,
+        product.alphabet,
+        {(s, e): t for (s, e), t in product.transitions.items() if alive[s] and alive[t]},
+        product.initial,
+        frozenset(q for q in product.marked if alive[q]),
+    )
+    gen, order = _bfs_renumber(survivors)
 
     plant_states = [0] * len(order)
     disabled: list[frozenset[int]] = [frozenset()] * len(order)
@@ -191,12 +200,12 @@ def supcon(plant: TimedGenerator, spec: Generator,
     for old, new in order.items():
         p = pairs[old][0]
         plant_states[new] = p
-        offered = survivor_eligible(old)
+        given = offered(old)
         pe = plant_elig[p]
         disabled[new] = frozenset(
-            e for e in pe if e not in offered and events.is_prohibitible(e)
+            e for e in pe if e not in given and events.is_prohibitible(e)
         )
-        preempted[new] = TICK in pe and TICK not in offered
+        preempted[new] = TICK in pe and TICK not in given
     return Supervisor(gen, events, tuple(plant_states), tuple(disabled),
                       tuple(preempted))
 

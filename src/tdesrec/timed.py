@@ -14,13 +14,19 @@ the explicit-state timed transition graph (TTG):
 
 Marked timed states are those whose activity is marked in the ATG, with no
 restriction on the timer component.
+
+While exploring, a timed state is packed as the pair (activity, tuple of
+timer values aligned with the sorted ATG alphabet).  Per activity, the
+events whose deadline blocks tick, the timers a tick counts down and each
+move's target and kept timers are tabulated once, so a step is one tuple
+built from the timers, these tables and the default timers.  States are
+numbered in BFS discovery order, tick before the events in label order, and
+the ``TimedState`` records are built once exploration ends.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Mapping
 
 from .automata import Generator
 from .events import TICK, EventTable
@@ -80,84 +86,65 @@ def timed_graph(atg: Generator, events: EventTable,
         raise ValueError("cannot build a timed graph from an empty generator")
 
     labels = sorted(atg.alphabet)
-    defs = {e: events[e] for e in labels}
+    defs = [events[e] for e in labels]
+    defaults = tuple(d.default_timer for d in defs)
+    # An enabled event is eligible once its timer is at most its bound.
+    bound = {e: 0 if d.is_remote else d.upper - d.lower for e, d in zip(labels, defs)}
+    position = {e: i for i, e in enumerate(labels)}
     adj = atg.out_edges()
-    enabled_at: list[frozenset[int]] = [
-        frozenset(e for e, _ in adj[a]) for a in range(atg.n_states)
-    ]
+    enabled_at = [frozenset(e for e, _ in edges) for edges in adj]
+    # Per activity: the timers whose 0 blocks tick, which timers a tick
+    # counts down (the others reset), and the moves in event order.
+    deadlines: list[tuple[int, ...]] = []
+    tick_keep: list[tuple[bool, ...]] = []
+    moves: list[list[tuple[int, int, int, int, tuple[bool, ...]]]] = []
+    for enabled, edges in zip(enabled_at, adj):
+        deadlines.append(tuple(i for i, e in enumerate(labels)
+                               if e in enabled and defs[i].is_prospective))
+        tick_keep.append(tuple(e in enabled for e in labels))
+        moves.append([
+            (e, position[e], bound[e], dst,
+             tuple(f != e and f in enabled and f in enabled_at[dst] for f in labels))
+            for e, dst in edges
+        ])
 
-    def initial_state() -> TimedState:
-        return TimedState(atg.initial,
-                          tuple((e, defs[e].default_timer) for e in labels))
-
-    def tick_allowed(state: TimedState) -> bool:
-        timers = state.timers_dict
-        return not any(
-            defs[e].is_prospective and timers[e] == 0
-            for e in enabled_at[state.activity]
-        )
-
-    def tick_step(state: TimedState) -> TimedState:
-        timers = state.timers_dict
-        enabled = enabled_at[state.activity]
-        new = []
-        for e in labels:
-            if e in enabled:
-                new.append((e, max(0, timers[e] - 1)))
-            else:
-                new.append((e, defs[e].default_timer))
-        return TimedState(state.activity, tuple(new))
-
-    def event_eligible(state: TimedState, e: int) -> bool:
-        if e not in enabled_at[state.activity]:
-            return False
-        t = state.timer(e)
-        d = defs[e]
-        if d.is_prospective:
-            return t <= d.upper - d.lower
-        return t == 0
-
-    def event_step(state: TimedState, e: int) -> TimedState:
-        nxt_activity = atg.target(state.activity, e)
-        assert nxt_activity is not None
-        before = enabled_at[state.activity]
-        after = enabled_at[nxt_activity]
-        timers = state.timers_dict
-        new = []
-        for tau in labels:
-            if tau == e or tau not in before or tau not in after:
-                new.append((tau, defs[tau].default_timer))
-            else:
-                new.append((tau, timers[tau]))
-        return TimedState(nxt_activity, tuple(new))
-
-    start = initial_state()
-    index: dict[TimedState, int] = {start: 0}
-    states: list[TimedState] = [start]
-    queue = deque([start])
+    start = (atg.initial, defaults)
+    index: dict[tuple[int, tuple[int, ...]], int] = {start: 0}
+    states: list[tuple[int, tuple[int, ...]]] = [start]
     transitions: dict[tuple[int, int], int] = {}
+    sid = 0
+    while sid < len(states):
+        activity, timers = states[sid]
+        steps = []
+        if all([timers[i] for i in deadlines[activity]]):
+            steps.append((TICK, (activity, tuple([
+                (t - 1 if t else 0) if keep else d
+                for t, keep, d in zip(timers, tick_keep[activity], defaults)]))))
+        for e, i, limit, dst, keep_vector in moves[activity]:
+            if timers[i] <= limit:
+                steps.append((e, (dst, tuple([
+                    t if keep else d
+                    for t, keep, d in zip(timers, keep_vector, defaults)]))))
+        for event, state in steps:
+            target = index.get(state)
+            if target is None:
+                if len(index) >= max_states:
+                    raise ValueError(f"timed graph exceeds {max_states} states")
+                target = index[state] = len(states)
+                states.append(state)
+            transitions[(sid, event)] = target
+        sid += 1
+    del index
 
-    def visit(src: int, state: TimedState, event: int) -> None:
-        if state not in index:
-            if len(index) >= max_states:
-                raise ValueError(f"timed graph exceeds {max_states} states")
-            index[state] = len(index)
-            states.append(state)
-            queue.append(state)
-        transitions[(src, event)] = index[state]
-
-    while queue:
-        state = queue.popleft()
-        sid = index[state]
-        if tick_allowed(state):
-            visit(sid, tick_step(state), TICK)
-        for e in labels:
-            if event_eligible(state, e):
-                visit(sid, event_step(state, e), e)
-
-    marked = frozenset(i for i, ts in enumerate(states) if ts.activity in atg.marked)
+    # One shared (label, value) pair per timer value.
+    pairs = [[(e, v) for v in range(d + 1)] for e, d in zip(labels, defaults)]
+    timed_states = tuple(
+        TimedState(activity, tuple([p[t] for p, t in zip(pairs, timers)]))
+        for activity, timers in states)
+    marked = frozenset(i for i, (activity, _) in enumerate(states)
+                       if activity in atg.marked)
     gen = Generator(len(states), frozenset(labels) | {TICK}, transitions, 0, marked)
-    return TimedGenerator(gen, events, tuple(states))
+    return TimedGenerator(gen, events, timed_states)
 
 
 def eligible(ttg: TimedGenerator, state: int) -> frozenset[int]:

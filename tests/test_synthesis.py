@@ -17,13 +17,16 @@ from tdesrec.automata import (
     reachable_states,
     renumber_bfs,
     sync_product,
+    trim,
 )
 from tdesrec.events import PROHIBITIBLE, TICK, UNCONTROLLABLE, EventDef, EventTable
 from tdesrec.synthesis import Supervisor, controllable, supcon, synthesize_tcrs
 from tdesrec.timed import timed_graph
+import util
 from util import (
     _oracle_controllable,
     oracle_controllability_witness,
+    oracle_supcon_rounds,
     oracle_supremal,
     random_atg,
     random_generator,
@@ -195,6 +198,48 @@ class TestSupcon:
             else:
                 assert language_equal(sup.automaton, expected)
             checked += 1
+
+    def test_worklist_matches_round_oracle(self, monkeypatch):
+        # Every Supervisor field equals the round-based reference's, on
+        # plants and specs drawn as random_pipeline_supervisor draws them.
+        # The reference runs one coreachability search per round, so a run
+        # with three or more searches had a cascade of deleting rounds.
+        searches = []
+
+        def counted(g):
+            searches.append(g.n_states)
+            return coreachable_states(g)
+
+        monkeypatch.setattr(util, "coreachable_states", counted)
+        rng = random.Random(1102)
+        cases = dict.fromkeys(("empty", "coreachability only", "cascade"), 0)
+        checked = 0
+        while checked < 2000:
+            atg, events = random_atg(rng, max_activities=5, max_events=4,
+                                     max_bound=3, forcible_p=0.7)
+            try:
+                plant = timed_graph(atg, events, max_states=3000)
+            except ValueError:
+                continue
+            if rng.random() < 0.9:
+                spec = random_generator(rng, 3, tuple(sorted(plant.alphabet)),
+                                        density=0.85, marked_p=0.8)
+            else:
+                spec = random_spec(rng, plant.alphabet, 3)
+            sup = supcon(plant, spec, events)
+            searches.clear()
+            expected = oracle_supcon_rounds(plant, spec, events)
+            assert sup == expected
+            assert (list(sup.automaton.transitions.items())
+                    == list(expected.automaton.transitions.items()))
+            cases["empty"] += sup.is_empty
+            cases["cascade"] += len(searches) >= 3
+            product = meet(plant.generator, spec)
+            if not sup.is_empty and controllable(product, plant, events)[0]:
+                cases["coreachability only"] += (sup.automaton == trim(product)
+                                                 and sup.automaton != renumber_bfs(product))
+            checked += 1
+        assert min(cases.values()) >= 50, cases
 
     def test_transition_subset_realization_crosscheck(self):
         # On tiny instances, allowing arbitrary transition removal (not just

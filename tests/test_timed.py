@@ -8,7 +8,7 @@ from tdesrec.automata import Generator, bounded_language
 from tdesrec.events import PROHIBITIBLE, TICK, UNCONTROLLABLE, EventDef, EventTable
 from tdesrec.timed import TimedGenerator, eligible, timed_graph
 from util import (check_bound_soundness, check_deadline_soundness,
-                  check_remote_liveness, random_atg)
+                  check_remote_liveness, oracle_timed_graph, random_atg)
 
 
 def one_loop_atg(label):
@@ -125,3 +125,65 @@ class TestTimedInvariants:
                 continue
             assert a.generator == b.generator
             assert a.timed_states == b.timed_states
+
+
+class TestTimedGraphReference:
+    @staticmethod
+    def _cases(atg, ttg):
+        """Which timer rules the event steps of ``ttg`` exercise."""
+        events, states = ttg.events, ttg.timed_states
+        enabled = [atg.eligible(a) for a in range(atg.n_states)]
+        adj = ttg.generator.out_edges()
+        seen = set()
+        for q, edges in enumerate(adj):
+            for e, dst in edges:
+                if e == TICK:
+                    continue
+                d = events[e]
+                seen.add("remote" if d.is_remote else
+                         "lower == upper" if d.lower == d.upper else "window")
+                if d.lower == 0:
+                    seen.add("lower == 0")
+                before, after = states[q], states[dst]
+                for f in enabled[before.activity] - {e}:
+                    if f in enabled[after.activity]:
+                        if before.timer(f) < events[f].default_timer:
+                            seen.add("kept across a move")
+                    elif any(f in enabled[states[nxt].activity] for _, nxt in adj[dst]):
+                        seen.add("disabled then re-enabled")
+        return seen
+
+    def test_packed_construction_matches_dict_oracle(self):
+        # Exact equality with the reference construction: the generator, the
+        # transitions in insertion order and every timed state, plus the
+        # state guard at its boundary on both sides.
+        rng = random.Random(1101)
+        cases = dict.fromkeys(("remote", "lower == upper", "lower == 0",
+                               "kept across a move", "disabled then re-enabled"), 0)
+        checked = 0
+        while checked < 1000:
+            atg, events = random_atg(rng, max_activities=5, max_events=4,
+                                     max_bound=3)
+            try:
+                expected = oracle_timed_graph(atg, events, max_states=2000)
+            except ValueError:
+                with pytest.raises(ValueError, match="exceeds 2000 states"):
+                    timed_graph(atg, events, max_states=2000)
+                continue
+            ttg = timed_graph(atg, events, max_states=2000)
+            assert ttg.generator == expected.generator
+            assert (list(ttg.generator.transitions.items())
+                    == list(expected.generator.transitions.items()))
+            assert ttg.timed_states == expected.timed_states
+            n = ttg.n_states
+            assert timed_graph(atg, events, max_states=n).timed_states == ttg.timed_states
+            assert oracle_timed_graph(atg, events, max_states=n).n_states == n
+            if n > 1:
+                for build in (timed_graph, oracle_timed_graph):
+                    with pytest.raises(ValueError, match=f"exceeds {n - 1} states"):
+                        build(atg, events, max_states=n - 1)
+            for case in self._cases(atg, ttg):
+                if case in cases:
+                    cases[case] += 1
+            checked += 1
+        assert min(cases.values()) >= 50, cases

@@ -13,10 +13,12 @@ from collections import deque
 from itertools import combinations, product
 from typing import Iterable, Mapping, Sequence
 
-from tdesrec.automata import Generator, ProjectionDetail, _minimal, bounded_language
+from tdesrec.automata import (Generator, ProjectionDetail, _bfs_renumber, _eligible_sets,
+                              _minimal, _product, bounded_language, coreachable_states)
 from tdesrec.events import TICK, PROHIBITIBLE, UNCONTROLLABLE, EventDef, EventTable
-from tdesrec.synthesis import Supervisor, supcon
-from tdesrec.timed import TimedGenerator, timed_graph
+from tdesrec.synthesis import Supervisor, _violation, supcon
+from tdesrec.timed import (DEFAULT_STATE_CAP, TimedGenerator, TimedState,
+                           timed_graph)
 
 
 def random_generator(rng: random.Random, max_states: int = 5,
@@ -212,6 +214,191 @@ def oracle_project_detail(g: Generator, erase: Iterable[int]) -> ProjectionDetai
     for subset, q in zip(subsets, to_final):
         pooled[q].update(subset)
     return ProjectionDetail(final, tuple(frozenset(p) for p in pooled))
+
+
+def oracle_timed_graph(atg: Generator, events: EventTable,
+                       max_states: int = DEFAULT_STATE_CAP) -> TimedGenerator:
+    """``timed.timed_graph`` as first written, with a dict of timers per step.
+
+    The reference copy of the forward exploration: every step builds a
+    ``TimedState`` from a fresh dict of the source state's timers.
+
+    Raises ``ValueError`` when an ATG event has no definition, when tick
+    appears in the ATG alphabet, or when the state count exceeds
+    ``max_states``.
+    """
+    if TICK in atg.alphabet:
+        raise ValueError("tick must not appear in an activity transition graph")
+    missing = sorted(atg.alphabet - events.labels)
+    if missing:
+        raise ValueError(f"no event definition for event {missing[0]}")
+    if atg.is_empty:
+        raise ValueError("cannot build a timed graph from an empty generator")
+
+    labels = sorted(atg.alphabet)
+    defs = {e: events[e] for e in labels}
+    adj = atg.out_edges()
+    enabled_at: list[frozenset[int]] = [
+        frozenset(e for e, _ in adj[a]) for a in range(atg.n_states)
+    ]
+
+    def initial_state() -> TimedState:
+        return TimedState(atg.initial,
+                          tuple((e, defs[e].default_timer) for e in labels))
+
+    def tick_allowed(state: TimedState) -> bool:
+        timers = state.timers_dict
+        return not any(
+            defs[e].is_prospective and timers[e] == 0
+            for e in enabled_at[state.activity]
+        )
+
+    def tick_step(state: TimedState) -> TimedState:
+        timers = state.timers_dict
+        enabled = enabled_at[state.activity]
+        new = []
+        for e in labels:
+            if e in enabled:
+                new.append((e, max(0, timers[e] - 1)))
+            else:
+                new.append((e, defs[e].default_timer))
+        return TimedState(state.activity, tuple(new))
+
+    def event_eligible(state: TimedState, e: int) -> bool:
+        if e not in enabled_at[state.activity]:
+            return False
+        t = state.timer(e)
+        d = defs[e]
+        if d.is_prospective:
+            return t <= d.upper - d.lower
+        return t == 0
+
+    def event_step(state: TimedState, e: int) -> TimedState:
+        nxt_activity = atg.target(state.activity, e)
+        assert nxt_activity is not None
+        before = enabled_at[state.activity]
+        after = enabled_at[nxt_activity]
+        timers = state.timers_dict
+        new = []
+        for tau in labels:
+            if tau == e or tau not in before or tau not in after:
+                new.append((tau, defs[tau].default_timer))
+            else:
+                new.append((tau, timers[tau]))
+        return TimedState(nxt_activity, tuple(new))
+
+    start = initial_state()
+    index: dict[TimedState, int] = {start: 0}
+    states: list[TimedState] = [start]
+    queue = deque([start])
+    transitions: dict[tuple[int, int], int] = {}
+
+    def visit(src: int, state: TimedState, event: int) -> None:
+        if state not in index:
+            if len(index) >= max_states:
+                raise ValueError(f"timed graph exceeds {max_states} states")
+            index[state] = len(index)
+            states.append(state)
+            queue.append(state)
+        transitions[(src, event)] = index[state]
+
+    while queue:
+        state = queue.popleft()
+        sid = index[state]
+        if tick_allowed(state):
+            visit(sid, tick_step(state), TICK)
+        for e in labels:
+            if event_eligible(state, e):
+                visit(sid, event_step(state, e), e)
+
+    marked = frozenset(i for i, ts in enumerate(states) if ts.activity in atg.marked)
+    gen = Generator(len(states), frozenset(labels) | {TICK}, transitions, 0, marked)
+    return TimedGenerator(gen, events, tuple(states))
+
+
+def oracle_supcon_rounds(plant: TimedGenerator, spec: Generator,
+                         events: EventTable | None = None) -> Supervisor:
+    """``synthesis.supcon`` as first written, in rounds of whole-product sweeps.
+
+    The reference copy of the fixpoint: each round sweeps every surviving
+    state for controllability, then rebuilds the restricted product and
+    searches it for coreachability, until a round deletes nothing.
+
+    Starts from the fully synchronized product of plant and spec and
+    repeatedly deletes states that violate controllability or coreachability
+    until nothing changes.  Within one iteration the controllability sweep
+    runs before the coreachability sweep, which fixes the intermediate
+    sequence but not the (supremal) result.  An empty supervisor is a legal
+    outcome.
+
+    A state violates controllability by the rule ``controllable`` checks: the
+    plant's eligible events at its plant state against the events leading to
+    surviving states, both read off adjacency lists built once per call.
+    """
+    events = events or plant.events
+    extra = spec.alphabet - plant.alphabet - {TICK}
+    if extra:
+        raise ValueError(f"spec alphabet exceeds plant alphabet: {sorted(extra)}")
+    plant_gen = plant.generator
+    product, pairs = _product([plant_gen, spec],
+                              dict.fromkeys(plant_gen.alphabet | spec.alphabet, (0, 1)))
+    n = product.n_states
+    alive = set(range(n))
+    adj = product.out_edges()
+    plant_elig = _eligible_sets(plant_gen)
+
+    def survivor_eligible(q: int) -> dict[int, int]:
+        return {e: t for e, t in adj[q] if t in alive}
+
+    def restricted() -> Generator:
+        """The product confined to the surviving states."""
+        return Generator(
+            n,
+            product.alphabet,
+            {(s, e): t for (s, e), t in product.transitions.items()
+             if s in alive and t in alive},
+            product.initial,
+            product.marked & frozenset(alive),
+        )
+
+    changed = True
+    while changed and alive:
+        changed = False
+        # Controllability sweep.
+        for q in sorted(alive):
+            if _violation(plant_elig[pairs[q][0]], survivor_eligible(q), events) is not None:
+                alive.discard(q)
+                changed = True
+        # Coreachability sweep over the survivors.
+        if alive:
+            coreach = coreachable_states(restricted())
+            dead = alive - coreach
+            if dead:
+                alive -= dead
+                changed = True
+        if product.initial not in alive:
+            alive.clear()
+
+    if not alive or product.initial not in alive:
+        empty = Generator(0, product.alphabet, {}, 0, frozenset())
+        return Supervisor(empty, events, (), (), ())
+
+    gen, order = _bfs_renumber(restricted())
+
+    plant_states = [0] * len(order)
+    disabled: list[frozenset[int]] = [frozenset()] * len(order)
+    preempted = [False] * len(order)
+    for old, new in order.items():
+        p = pairs[old][0]
+        plant_states[new] = p
+        offered = survivor_eligible(old)
+        pe = plant_elig[p]
+        disabled[new] = frozenset(
+            e for e in pe if e not in offered and events.is_prohibitible(e)
+        )
+        preempted[new] = TICK in pe and TICK not in offered
+    return Supervisor(gen, events, tuple(plant_states), tuple(disabled),
+                      tuple(preempted))
 
 
 def oracle_subset_map(g: Generator, erase: frozenset[int],
