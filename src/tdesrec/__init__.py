@@ -26,16 +26,10 @@ from .localization import (
     verify_solution_equivalence,
 )
 from .solver import (
-    BFT,
     CommutativityReport,
-    EligibilitySet,
     ForciblePathSet,
     ReconfigProblem,
-    attraction_field,
-    build_bft,
-    eligibility_set,
     erase_ticks,
-    prune_to_pbft,
     select_optimal,
     trs,
     verify_projection_commutativity,

@@ -180,7 +180,7 @@ def is_nonblocking(g: Generator) -> bool:
 
 def _product(components: Sequence[Generator], movers: Mapping[int, Sequence[int]]
              ) -> tuple[Generator, list[tuple[int, ...]]]:
-    """Reachable product where event ``e`` moves the components ``movers[e]``.
+    """Reachable product where event ``e`` moves the components ``movers[e]`` (at least one).
 
     An event is eligible only when every component it moves can execute it;
     the others keep their state.  The alphabet is the set of ``movers`` keys,
@@ -191,7 +191,8 @@ def _product(components: Sequence[Generator], movers: Mapping[int, Sequence[int]
     if any(c.is_empty for c in components):
         return Generator(0, alphabet, {}, 0, frozenset()), []
     trans = [c.transitions for c in components]
-    steps = [(e, movers[e]) for e in sorted(alphabet)]
+    # Each event's first mover is tried before the state is copied.
+    steps = [(e, movers[e][0], movers[e][1:]) for e in sorted(alphabet)]
     start = tuple(c.initial for c in components)
     index: dict[tuple[int, ...], int] = {start: 0}
     queue = deque([start])
@@ -202,9 +203,13 @@ def _product(components: Sequence[Generator], movers: Mapping[int, Sequence[int]
         sid = index[state]
         if all(state[i] in c.marked for i, c in enumerate(components)):
             marked.add(sid)
-        for e, moving in steps:
+        for e, first, rest in steps:
+            dst = trans[first].get((state[first], e))
+            if dst is None:
+                continue
             nxt = list(state)
-            for i in moving:
+            nxt[first] = dst
+            for i in rest:
                 dst = trans[i].get((state[i], e))
                 if dst is None:
                     break

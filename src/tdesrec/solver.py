@@ -8,11 +8,13 @@ is prohibitible (so the supervisor can guarantee the step by disabling the
 competition; an eligible tick with a different target rules the step out,
 since tick is neither forcible nor prohibitible).
 
-Backtracking builds a tree rooted at the target; pruning branches that never
-reach the source leaves the proper tree, whose states form the attraction
-field.  Its reversed branches are the solution paths: every simple path that
-starts at the source, ends at the target and takes backtrackable steps only.
-The machinery never inspects timers, so it runs unchanged on tick-free
+One depth-first search backtracks from the target and never lets a branch
+repeat a state; a branch ends at the source.  The branches that end there,
+reversed, are the solution paths: every simple path that starts at the
+source, ends at the target and takes backtrackable steps only.  Their states
+form the attraction field.  The branches make up the backtracking tree, whose
+node count, dead branches included, is what ``trs``'s ``max_nodes`` guard
+bounds.  The search never inspects timers, so it runs unchanged on tick-free
 (projected) supervisors.
 """
 
@@ -52,75 +54,13 @@ class ReconfigProblem:
 
 
 @dataclass(frozen=True)
-class EligibilitySet:
-    """Backtrackable (predecessor, event) pairs anchored at one state."""
-
-    anchor: int
-    entries: frozenset[tuple[int, int]]
-
-    @property
-    def predecessors(self) -> frozenset[int]:
-        """The selector image: first components of all entries."""
-        return frozenset(q for q, _ in self.entries)
-
-
-@dataclass(frozen=True)
-class BFTNode:
-    """One tree node: a supervisor state linked to its parent by the backtracked event."""
-
-    state: int
-    parent: int
-    event: int | None
-
-
-@dataclass(frozen=True)
-class BFT:
-    """Backtracking forcibility tree; node 0 is the root (the target state)."""
-
-    root: int
-    nodes: tuple[BFTNode, ...]
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.nodes
-
-    def children(self) -> list[list[int]]:
-        kids: list[list[int]] = [[] for _ in self.nodes]
-        for i, node in enumerate(self.nodes):
-            if node.parent >= 0:
-                kids[node.parent].append(i)
-        return kids
-
-    def branch_states(self, leaf: int) -> tuple[int, ...]:
-        """States from the root down to ``leaf``."""
-        rev = []
-        i = leaf
-        while i >= 0:
-            rev.append(self.nodes[i].state)
-            i = self.nodes[i].parent
-        return tuple(reversed(rev))
-
-    def branch_events(self, leaf: int) -> tuple[int, ...]:
-        """Edge labels from the root down to ``leaf`` (backtracked events)."""
-        rev = []
-        i = leaf
-        while self.nodes[i].parent >= 0:
-            rev.append(self.nodes[i].event)
-            i = self.nodes[i].parent
-        return tuple(reversed(rev))
-
-    def leaves(self) -> list[int]:
-        kids = self.children()
-        return [i for i in range(len(self.nodes)) if not kids[i]]
-
-
-@dataclass(frozen=True)
 class ForciblePathSet:
     """Solution paths of one reconfiguration problem.
 
     ``paths`` is sorted by (length, events); each is a reversed branch of the
-    proper tree.  The attraction field is the state set of the proper tree;
-    every prefix of every path stays inside it.
+    backtracking search that ends at the source.  The attraction field is the
+    set of states on those branches; every prefix of every path stays inside
+    it.
     """
 
     source: int
@@ -194,32 +134,29 @@ def _backtrackable_into(sup: Supervisor) -> Callable[[int], list[tuple[int, int]
     return into
 
 
-def eligibility_set(sup: Supervisor, state: int) -> EligibilitySet:
-    """All backtrackable (predecessor, event) pairs leading into ``state``."""
-    if not (0 <= state < sup.automaton.n_states):
-        raise ValueError(f"unknown supervisor state {state}")
-    return EligibilitySet(state, frozenset(_backtrackable_into(sup)(state)))
-
-
-def build_bft(problem: ReconfigProblem, max_nodes: int | None = None) -> BFT:
-    """Depth-first expansion of the backtracking forcibility tree.
-
-    Each node expands through the eligibility set of its state; a branch ends
-    at the source state, or when no candidate is left that is absent from the
-    branch (so no branch ever repeats a state).  The tree enumerates simple
-    backward paths and can grow exponentially on dense supervisors;
-    ``max_nodes`` is a resource guard (exceeding it raises ``ValueError``).
+def trs(problem: ReconfigProblem, max_nodes: int | None = None) -> ForciblePathSet:
+    """Timed reconfiguration solver: all simple forcible paths source-to-target.
 
     A backward search from the target runs first.  If it never meets the
-    source, no branch can end there, and the tree is returned as the root
-    alone: its proper tree is empty either way.  On a solvable problem the
-    search only visits states that the tree holds anyway.
-    """
-    q_s = problem.source
-    backtrackable = _backtrackable_into(problem.supervisor)
-    root = BFTNode(problem.target, -1, None)
+    source, the problem is unsolvable and the empty, distinguished result is
+    returned (no exception).  Otherwise one depth-first search backtracks from
+    the target through the backtrackable steps: a branch ends at the source,
+    or when no step is left onto a state absent from the branch, so no branch
+    ever repeats a state.  Each branch that ends at the source, reversed, is a
+    solution path, and its states join the attraction field.
 
-    reached = {problem.target}
+    The branches form the backtracking tree, which can grow exponentially on
+    dense supervisors.  ``max_nodes`` bounds its node count, the root
+    included, with branches that never reach the source counted too; the
+    count does not depend on the order of expansion.  It is checked only when
+    a node beyond the root is added, and exceeding it raises ``ValueError``.
+    """
+    q_s, q_t = problem.source, problem.target
+    if q_s == q_t:
+        return ForciblePathSet(q_s, q_t, problem.reconfig_event, ((),),
+                               frozenset({q_t}), True)
+    backtrackable = _backtrackable_into(problem.supervisor)
+    reached = {q_t}
     frontier = deque(reached)
     while frontier and q_s not in reached:
         for pred, _ in backtrackable(frontier.popleft()):
@@ -227,74 +164,39 @@ def build_bft(problem: ReconfigProblem, max_nodes: int | None = None) -> BFT:
                 reached.add(pred)
                 frontier.append(pred)
     if q_s not in reached:
-        return BFT(problem.target, (root,))
+        return ForciblePathSet(q_s, q_t, problem.reconfig_event, (), frozenset(), False)
 
-    nodes = [root]
-    stack: list[tuple[int, frozenset[int]]] = [(0, frozenset({problem.target}))]
+    paths: list[Path] = []
+    field = {q_s}
+    nodes = 1
+    # The branch from the root down and the events between its states.
+    branch, events = [q_t], []
+    on_branch = {q_t}
+    stack = [iter(backtrackable(q_t))]
     while stack:
-        i, on_branch = stack.pop()
-        state = nodes[i].state
-        if state == q_s:
-            continue
-        for pred, ev in backtrackable(state):
+        for pred, ev in stack[-1]:
             if pred in on_branch:
                 continue
-            nodes.append(BFTNode(pred, i, ev))
-            if max_nodes is not None and len(nodes) > max_nodes:
+            nodes += 1
+            if max_nodes is not None and nodes > max_nodes:
                 raise ValueError(f"backtracking tree exceeds {max_nodes} nodes")
-            stack.append((len(nodes) - 1, on_branch | {pred}))
-    return BFT(problem.target, tuple(nodes))
-
-
-def prune_to_pbft(tree: BFT, source: int) -> BFT:
-    """Maximal subtree in which every leaf is the source state."""
-    if tree.is_empty:
-        return tree
-    keep = [False] * len(tree.nodes)
-    # Children appear after their parent, so one reverse pass suffices.
-    for i in range(len(tree.nodes) - 1, -1, -1):
-        if tree.nodes[i].state == source:
-            keep[i] = True
-        parent = tree.nodes[i].parent
-        if keep[i] and parent >= 0:
-            keep[parent] = True
-    if not keep[0]:
-        return BFT(tree.root, ())
-    remap: dict[int, int] = {}
-    new_nodes: list[BFTNode] = []
-    for i, node in enumerate(tree.nodes):
-        if not keep[i]:
-            continue
-        remap[i] = len(new_nodes)
-        parent = remap[node.parent] if node.parent >= 0 else -1
-        new_nodes.append(BFTNode(node.state, parent, node.event))
-    return BFT(tree.root, tuple(new_nodes))
-
-
-def attraction_field(pbft: BFT) -> frozenset[int]:
-    """All states occurring in the proper tree."""
-    return frozenset(node.state for node in pbft.nodes)
-
-
-def trs(problem: ReconfigProblem, max_nodes: int | None = None) -> ForciblePathSet:
-    """Timed reconfiguration solver: all simple forcible paths source-to-target.
-
-    Computes the backtracking forcibility tree, prunes it to its proper part
-    and reads the paths off the reversed branches.  An unsolvable problem
-    yields an empty, distinguished result (no exception).  ``max_nodes``
-    guards against combinatorial blowup on dense supervisors.
-    """
-    pbft = prune_to_pbft(build_bft(problem, max_nodes), problem.source)
-    if pbft.is_empty:
-        return ForciblePathSet(problem.source, problem.target,
-                               problem.reconfig_event, (), frozenset(), False)
-    # Proper-tree leaves are all the source; the reversed branch runs
-    # source-to-target.
-    paths = {tuple(reversed(pbft.branch_events(leaf))) for leaf in pbft.leaves()}
-    ordered = tuple(sorted(paths, key=lambda p: (len(p), p)))
-    return ForciblePathSet(problem.source, problem.target,
-                           problem.reconfig_event, ordered, attraction_field(pbft),
-                           True)
+            if pred == q_s:
+                paths.append((ev, *reversed(events)))
+                field.update(branch)
+                continue
+            branch.append(pred)
+            events.append(ev)
+            on_branch.add(pred)
+            stack.append(iter(backtrackable(pred)))
+            break
+        else:
+            stack.pop()
+            on_branch.discard(branch.pop())
+            if events:
+                events.pop()
+    paths.sort(key=lambda p: (len(p), p))
+    return ForciblePathSet(q_s, q_t, problem.reconfig_event, tuple(paths),
+                           frozenset(field), True)
 
 
 def select_optimal(paths: ForciblePathSet, criterion: str) -> Path:

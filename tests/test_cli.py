@@ -124,6 +124,23 @@ class TestSolve:
         assert rc == EXIT_ERROR
         assert "not eligible" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source, target, event, message", [
+        ("99999", None, "91", "source state 99999 is not a supervisor state"),
+        (None, "99999", "91", "target state 99999 is not a supervisor state"),
+        (None, None, "12", "reconfiguration event 12 is not eligible at target state"),
+    ])
+    def test_rejected_problem_is_one_error_line(self, tsup_path, problem_states, capsys,
+                                                source, target, event, message):
+        q_s, q_r = problem_states
+        rc = main(["solve", tsup_path, "--supervisor", "TSUP",
+                   "--from", source or str(q_s), "--to", target or str(q_r),
+                   "--event", event])
+        assert rc == EXIT_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {message}")
+        assert err.count("\n") == 1
+
     def test_json_report(self, tsup_path, problem_states, tmp_path, capsys):
         q_s, q_r = problem_states
         report = tmp_path / "paths.json"

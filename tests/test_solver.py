@@ -10,19 +10,17 @@ from tdesrec.events import PROHIBITIBLE, TICK, UNCONTROLLABLE, EventDef, EventTa
 from tdesrec.solver import (
     ForciblePathSet,
     ReconfigProblem,
-    attraction_field,
-    build_bft,
-    eligibility_set,
+    _backtrackable_into,
     erase_ticks,
-    prune_to_pbft,
     select_optimal,
     state_witness,
     trs,
     verify_projection_commutativity,
 )
 from tdesrec.synthesis import Supervisor
-from util import (oracle_paths, oracle_state_witness, random_pipeline_supervisor,
-                  sample_problems, solvable_problems)
+from util import (BFT, oracle_attraction_field, oracle_bft, oracle_paths, oracle_prune,
+                  oracle_state_witness, random_pipeline_supervisor, sample_problems,
+                  solvable_problems)
 
 A, B, C, D = 5, 7, 9, 11
 
@@ -43,13 +41,46 @@ def wrap(n, transitions, events, marked=None):
     return Supervisor.from_generator(gen, events)
 
 
+def ladder():
+    """A ladder of 12 rungs below the target, and the target's state.
+
+    From either state of a rung, forcible A and B lead to the two states of
+    the next rung, so the backward tree from the target has 2**13 - 1 nodes.
+    State 0's only way onto the ladder is an uncontrollable C racing a tick,
+    which is not backtrackable, so problems from state 0 are unsolvable.
+    """
+    events = table(**{str(A): ("hib", True), str(B): ("hib", True),
+                      str(C): ("unc", False), str(D): ("hib", False)})
+    rungs = 12
+    top = 2 * rungs + 1
+    transitions = {(0, C): 1, (0, TICK): 0, (top, D): top}
+    for i in range(rungs - 1):
+        for s in (2 * i + 1, 2 * i + 2):
+            transitions[(s, A)] = 2 * i + 3
+            transitions[(s, B)] = 2 * i + 4
+    transitions[(top - 2, A)] = transitions[(top - 1, A)] = top
+    return wrap(top + 1, transitions, events), top
+
+
+class TestReconfigProblem:
+    @pytest.mark.parametrize("source, target, event, message", [
+        (2, 1, A, "source state 2 is not a supervisor state"),
+        (-1, 1, A, "source state -1 is not a supervisor state"),
+        (0, 2, A, "target state 2 is not a supervisor state"),
+        (0, 1, B, "reconfiguration event 7 is not eligible at target state 1"),
+    ])
+    def test_rejected(self, source, target, event, message):
+        events = table(**{str(A): ("hib", True), str(B): ("hib", True)})
+        sup = wrap(2, {(0, A): 1, (1, A): 1, (0, B): 0}, events)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ReconfigProblem(sup, source, target, event)
+
+
 class TestEligibilitySet:
     def test_single_forcible_predecessor(self):
         events = table(**{str(A): ("hib", True)})
         sup = wrap(2, {(0, A): 1}, events)
-        es = eligibility_set(sup, 1)
-        assert es.entries == {(0, A)}
-        assert es.predecessors == {0}
+        assert _backtrackable_into(sup)(1) == [(0, A)]
 
     def test_tick_elsewhere_excludes_nonforcible(self):
         # 0 --A--> 1 with A not forcible, and 0 --tick--> 2: the tick leaves
@@ -57,7 +88,7 @@ class TestEligibilitySet:
         # backtrack over A is rejected.
         events = table(**{str(A): ("hib", False)})
         sup = wrap(3, {(0, A): 1, (0, TICK): 2}, events)
-        assert eligibility_set(sup, 1).entries == set()
+        assert _backtrackable_into(sup)(1) == []
 
     def test_prohibitible_competition_admits_nonforcible(self):
         # Four states: 0 --A--> 1 (A uncontrollable, not forcible); the other
@@ -69,20 +100,14 @@ class TestEligibilitySet:
         events = table(**{str(A): ("unc", False), str(B): ("hib", False),
                           str(C): ("unc", False)})
         sup = wrap(4, {(0, A): 1, (0, B): 2, (0, C): 1, (2, B): 3}, events)
-        es = eligibility_set(sup, 1)
-        assert (0, A) in es.entries
-        assert (0, C) in es.entries
+        pairs = _backtrackable_into(sup)(1)
+        assert (0, A) in pairs
+        assert (0, C) in pairs
 
     def test_uncontrollable_competition_blocks(self):
         events = table(**{str(A): ("hib", False), str(B): ("unc", False)})
         sup = wrap(3, {(0, A): 1, (0, B): 2}, events)
-        assert eligibility_set(sup, 1).entries == set()
-
-    def test_unknown_state(self):
-        events = table(**{str(A): ("hib", True)})
-        sup = wrap(2, {(0, A): 1}, events)
-        with pytest.raises(ValueError, match="unknown supervisor state"):
-            eligibility_set(sup, 9)
+        assert _backtrackable_into(sup)(1) == []
 
 
 class TestBft:
@@ -90,7 +115,7 @@ class TestBft:
         events = table(**{str(A): ("hib", True)})
         sup = wrap(2, {(0, A): 1, (1, A): 1}, events)
         problem = ReconfigProblem(sup, 1, 1, A)
-        bft = build_bft(problem)
+        bft = oracle_bft(problem)
         assert len(bft.nodes) == 1
         assert bft.nodes[0].state == 1
 
@@ -98,7 +123,7 @@ class TestBft:
         events = table(**{str(A): ("hib", True)})
         sup = wrap(2, {(0, A): 1, (1, A): 1}, events)
         problem = ReconfigProblem(sup, 0, 1, A)
-        bft = build_bft(problem)
+        bft = oracle_bft(problem)
         assert [n.state for n in bft.nodes] == [1, 0]
         assert bft.branch_events(1) == (A,)
 
@@ -111,7 +136,7 @@ class TestBft:
                 continue
             sup, _ = out
             for (q_s, q_r, e) in solvable_problems(sup, limit=3):
-                bft = build_bft(ReconfigProblem(sup, q_s, q_r, e))
+                bft = oracle_bft(ReconfigProblem(sup, q_s, q_r, e))
                 for leaf in bft.leaves():
                     states = bft.branch_states(leaf)
                     assert len(states) == len(set(states))
@@ -128,8 +153,8 @@ class TestPrune:
 
     def test_mixed_tree_pruned_to_source_branches(self):
         problem = self._problem()
-        bft = build_bft(problem)
-        pbft = prune_to_pbft(bft, problem.source)
+        bft = oracle_bft(problem)
+        pbft = oracle_prune(bft, problem.source)
         # Oracle: exactly the root-to-source branches of the full tree.
         expected = set()
         for leaf in bft.leaves():
@@ -142,33 +167,33 @@ class TestPrune:
     def test_all_leaves_already_source(self):
         events = table(**{str(A): ("hib", True)})
         sup = wrap(2, {(0, A): 1, (1, A): 1}, events)
-        bft = build_bft(ReconfigProblem(sup, 0, 1, A))
-        assert prune_to_pbft(bft, 0) == bft
+        bft = oracle_bft(ReconfigProblem(sup, 0, 1, A))
+        assert oracle_prune(bft, 0) == bft
 
     def test_unreachable_source_gives_empty_tree(self):
         events = table(**{str(A): ("hib", True)})
         sup = wrap(3, {(0, A): 1, (2, A): 2, (1, A): 1}, events)
-        bft = build_bft(ReconfigProblem(sup, 2, 1, A))
-        assert prune_to_pbft(bft, 2).is_empty
+        bft = oracle_bft(ReconfigProblem(sup, 2, 1, A))
+        assert oracle_prune(bft, 2).is_empty
 
 
 class TestAttractionField:
     def test_single_node(self):
         events = table(**{str(A): ("hib", True)})
         sup = wrap(2, {(1, A): 1, (0, A): 1}, events)
-        bft = build_bft(ReconfigProblem(sup, 1, 1, A))
-        assert attraction_field(prune_to_pbft(bft, 1)) == {1}
+        problem = ReconfigProblem(sup, 1, 1, A)
+        assert oracle_attraction_field(oracle_prune(oracle_bft(problem), 1)) == {1}
+        assert trs(problem).attraction_field == {1}
 
     def test_two_node(self):
         events = table(**{str(A): ("hib", True)})
         sup = wrap(2, {(0, A): 1, (1, A): 1}, events)
-        bft = build_bft(ReconfigProblem(sup, 0, 1, A))
-        assert attraction_field(prune_to_pbft(bft, 0)) == {0, 1}
+        problem = ReconfigProblem(sup, 0, 1, A)
+        assert oracle_attraction_field(oracle_prune(oracle_bft(problem), 0)) == {0, 1}
+        assert trs(problem).attraction_field == {0, 1}
 
     def test_empty_tree(self):
-        from tdesrec.solver import BFT
-
-        assert attraction_field(BFT(0, ())) == frozenset()
+        assert oracle_attraction_field(BFT(0, ())) == frozenset()
 
 
 class TestTrs:
@@ -179,22 +204,7 @@ class TestTrs:
         assert result.solvable and result.paths == ((),)
 
     def test_far_source_does_not_trip_the_guard(self):
-        # A ladder of 12 rungs below the target: from either state of a rung,
-        # forcible A and B lead to the two states of the next rung, so the
-        # backward tree from the target has 2**13 - 1 nodes.  The source's
-        # only way onto the ladder is an uncontrollable C racing a tick, which
-        # is not backtrackable, so the problem is unsolvable.
-        events = table(**{str(A): ("hib", True), str(B): ("hib", True),
-                          str(C): ("unc", False), str(D): ("hib", False)})
-        rungs = 12
-        top = 2 * rungs + 1
-        transitions = {(0, C): 1, (0, TICK): 0, (top, D): top}
-        for i in range(rungs - 1):
-            for s in (2 * i + 1, 2 * i + 2):
-                transitions[(s, A)] = 2 * i + 3
-                transitions[(s, B)] = 2 * i + 4
-        transitions[(top - 2, A)] = transitions[(top - 1, A)] = top
-        sup = wrap(top + 1, transitions, events)
+        sup, top = ladder()
         result = trs(ReconfigProblem(sup, 0, top, D), max_nodes=1000)
         assert not result.solvable
         assert result.paths == ()
@@ -291,6 +301,59 @@ class TestTrs:
             assert set(res.paths) == oracle_paths(psup, q_s, q_r)
             assert all(TICK not in p for p in res.paths)
             break
+
+
+def assert_matches_oracle(problem):
+    """``trs`` reads the oracle tree's answer and raises at the same guard."""
+    tree = oracle_bft(problem)
+    pbft = oracle_prune(tree, problem.source)
+    paths = {tuple(reversed(pbft.branch_events(leaf))) for leaf in pbft.leaves()}
+    assert paths == oracle_paths(problem.supervisor, problem.source, problem.target)
+    want = ForciblePathSet(problem.source, problem.target, problem.reconfig_event,
+                           tuple(sorted(paths, key=lambda p: (len(p), p))),
+                           oracle_attraction_field(pbft), not pbft.is_empty)
+    assert trs(problem) == want
+    size = len(tree.nodes)
+    assert trs(problem, max_nodes=size) == want
+    assert oracle_bft(problem, max_nodes=size) == tree
+    if size > 1:
+        for solve in (trs, oracle_bft):
+            with pytest.raises(ValueError, match=f"exceeds {size - 1} nodes"):
+                solve(problem, max_nodes=size - 1)
+
+
+class TestTrsAgainstOracle:
+    def test_random_problems(self):
+        rng = random.Random(46)
+        problems = 0
+        while problems < 300:
+            out = random_pipeline_supervisor(
+                rng, max_activities=8, max_events=6, density=0.6,
+                forcible_p=0.6, full_alphabet_spec=rng.random() < 0.5)
+            if out is None or out[0].n_states > 50:
+                continue
+            sup, _ = out
+            for (q_s, q_r, e) in sample_problems(rng, sup, 3):
+                assert_matches_oracle(ReconfigProblem(sup, q_s, q_r, e))
+                problems += 1
+
+    def test_ladder(self):
+        sup, top = ladder()
+        for source in (0, 1, 2, top - 4, top):
+            assert_matches_oracle(ReconfigProblem(sup, source, top, D))
+
+    def test_factory(self, factory_problem):
+        assert_matches_oracle(factory_problem)
+
+    def test_root_only_trees_never_raise(self):
+        # The guard is checked only when a node beyond the root is added.
+        events = table(**{str(A): ("hib", True)})
+        sup = wrap(2, {(0, A): 1, (1, A): 1}, events)
+        assert trs(ReconfigProblem(sup, 1, 1, A), max_nodes=0).paths == ((),)
+        sup, top = ladder()
+        far = ReconfigProblem(sup, 0, top, D)
+        assert len(oracle_bft(far, max_nodes=0).nodes) == 1
+        assert not trs(far, max_nodes=0).solvable
 
 
 class TestSelectOptimal:

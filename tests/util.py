@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable, Mapping, Sequence
 
 from tdesrec.automata import (Generator, ProjectionDetail, _bfs_renumber, _eligible_sets,
                               _minimal, _product, bounded_language, coreachable_states)
 from tdesrec.events import TICK, PROHIBITIBLE, UNCONTROLLABLE, EventDef, EventTable
+from tdesrec.solver import ReconfigProblem, _backtrackable_into
 from tdesrec.synthesis import Supervisor, _violation, supcon
 from tdesrec.timed import (DEFAULT_STATE_CAP, TimedGenerator, TimedState,
                            timed_graph)
@@ -592,6 +594,131 @@ def oracle_paths(sup: Supervisor, source: int, target: int) -> set[tuple[int, ..
     # of states on qualifying paths, and each found path only visits states
     # of qualifying paths.
     return found
+
+
+@dataclass(frozen=True)
+class BFTNode:
+    """One tree node: a supervisor state linked to its parent by the backtracked event."""
+
+    state: int
+    parent: int
+    event: int | None
+
+
+@dataclass(frozen=True)
+class BFT:
+    """Backtracking forcibility tree; node 0 is the root (the target state)."""
+
+    root: int
+    nodes: tuple[BFTNode, ...]
+
+    @property
+    def is_empty(self) -> bool:
+        return not self.nodes
+
+    def children(self) -> list[list[int]]:
+        kids: list[list[int]] = [[] for _ in self.nodes]
+        for i, node in enumerate(self.nodes):
+            if node.parent >= 0:
+                kids[node.parent].append(i)
+        return kids
+
+    def branch_states(self, leaf: int) -> tuple[int, ...]:
+        """States from the root down to ``leaf``."""
+        rev = []
+        i = leaf
+        while i >= 0:
+            rev.append(self.nodes[i].state)
+            i = self.nodes[i].parent
+        return tuple(reversed(rev))
+
+    def branch_events(self, leaf: int) -> tuple[int, ...]:
+        """Edge labels from the root down to ``leaf`` (backtracked events)."""
+        rev = []
+        i = leaf
+        while self.nodes[i].parent >= 0:
+            rev.append(self.nodes[i].event)
+            i = self.nodes[i].parent
+        return tuple(reversed(rev))
+
+    def leaves(self) -> list[int]:
+        kids = self.children()
+        return [i for i in range(len(self.nodes)) if not kids[i]]
+
+
+def oracle_bft(problem: ReconfigProblem, max_nodes: int | None = None) -> BFT:
+    """Depth-first expansion of the backtracking forcibility tree.
+
+    The reference copy of the tree ``solver.trs`` searches without building:
+    each node expands through the backtrackable steps into its state; a
+    branch ends at the source state, or when no candidate is left that is
+    absent from the branch (so no branch ever repeats a state).
+    ``max_nodes`` is a resource guard (exceeding it raises ``ValueError``).
+
+    A backward search from the target runs first.  If it never meets the
+    source, no branch can end there, and the tree is returned as the root
+    alone: its proper tree is empty either way.  On a solvable problem the
+    search only visits states that the tree holds anyway.
+    """
+    q_s = problem.source
+    backtrackable = _backtrackable_into(problem.supervisor)
+    root = BFTNode(problem.target, -1, None)
+
+    reached = {problem.target}
+    frontier = deque(reached)
+    while frontier and q_s not in reached:
+        for pred, _ in backtrackable(frontier.popleft()):
+            if pred not in reached:
+                reached.add(pred)
+                frontier.append(pred)
+    if q_s not in reached:
+        return BFT(problem.target, (root,))
+
+    nodes = [root]
+    stack: list[tuple[int, frozenset[int]]] = [(0, frozenset({problem.target}))]
+    while stack:
+        i, on_branch = stack.pop()
+        state = nodes[i].state
+        if state == q_s:
+            continue
+        for pred, ev in backtrackable(state):
+            if pred in on_branch:
+                continue
+            nodes.append(BFTNode(pred, i, ev))
+            if max_nodes is not None and len(nodes) > max_nodes:
+                raise ValueError(f"backtracking tree exceeds {max_nodes} nodes")
+            stack.append((len(nodes) - 1, on_branch | {pred}))
+    return BFT(problem.target, tuple(nodes))
+
+
+def oracle_prune(tree: BFT, source: int) -> BFT:
+    """Maximal subtree in which every leaf is the source state (the proper tree)."""
+    if tree.is_empty:
+        return tree
+    keep = [False] * len(tree.nodes)
+    # Children appear after their parent, so one reverse pass suffices.
+    for i in range(len(tree.nodes) - 1, -1, -1):
+        if tree.nodes[i].state == source:
+            keep[i] = True
+        parent = tree.nodes[i].parent
+        if keep[i] and parent >= 0:
+            keep[parent] = True
+    if not keep[0]:
+        return BFT(tree.root, ())
+    remap: dict[int, int] = {}
+    new_nodes: list[BFTNode] = []
+    for i, node in enumerate(tree.nodes):
+        if not keep[i]:
+            continue
+        remap[i] = len(new_nodes)
+        parent = remap[node.parent] if node.parent >= 0 else -1
+        new_nodes.append(BFTNode(node.state, parent, node.event))
+    return BFT(tree.root, tuple(new_nodes))
+
+
+def oracle_attraction_field(pbft: BFT) -> frozenset[int]:
+    """All states occurring in the proper tree."""
+    return frozenset(node.state for node in pbft.nodes)
 
 
 def oracle_supremal(plant: TimedGenerator, spec: Generator,
