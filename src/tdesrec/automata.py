@@ -191,7 +191,8 @@ def _product(components: Sequence[Generator], movers: Mapping[int, Sequence[int]
     if any(c.is_empty for c in components):
         return Generator(0, alphabet, {}, 0, frozenset()), []
     trans = [c.transitions for c in components]
-    # Each event's first mover is tried before the state is copied.
+    # An event's first mover is tried before the state is copied, so an event
+    # that cannot occur costs no copy.
     steps = [(e, movers[e][0], movers[e][1:]) for e in sorted(alphabet)]
     start = tuple(c.initial for c in components)
     index: dict[tuple[int, ...], int] = {start: 0}

@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the library's algorithms: languages are
 compared by bounded enumeration, supremal synthesis by exhaustive subset
-search, and path solving by exhaustive filtered path enumeration.  Expected
-values frozen into tests were produced by these oracles.
+search, and path solving by exhaustive filtered path enumeration and by the
+materialised backtracking tree.  Expected values frozen into tests were
+produced by these oracles.
 """
 
 from __future__ import annotations
