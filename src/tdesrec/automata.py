@@ -88,24 +88,17 @@ class Generator:
         return adj
 
 
-def _eligible_sets(g: Generator) -> list[frozenset[int]]:
-    """Per-state eligible events of ``g``, from one pass over its transitions."""
-    elig: list[list[int]] = [[] for _ in range(g.n_states)]
-    for src, e in g.transitions:
-        elig[src].append(e)
-    return [frozenset(events) for events in elig]
+def _bfs_parents(adj: Sequence[Iterable[tuple[int, int]]], initial: int
+                 ) -> dict[int, tuple[int, int] | None]:
+    """BFS tree from ``initial`` over ``adj``, as a parent map in discovery order.
 
-
-def _bfs_parents(g: Generator) -> dict[int, tuple[int, int] | None]:
-    """BFS tree of non-empty ``g`` as a parent map in discovery order.
-
-    Each reachable state maps to the ``(parent, event)`` step that discovered
-    it, the initial state to None.  Successors are explored in event order, so
-    the branch to each state spells the shortlex-least string reaching it.
+    ``adj`` is shaped like ``Generator.out_edges()``: per state, its (event,
+    target) steps in event order.  Each reached state maps to the ``(parent,
+    event)`` step that discovered it, ``initial`` to None, so the branch to
+    each state spells the shortlex-least string reaching it.
     """
-    adj = g.out_edges()
-    parents: dict[int, tuple[int, int] | None] = {g.initial: None}
-    queue = deque([g.initial])
+    parents: dict[int, tuple[int, int] | None] = {initial: None}
+    queue = deque([initial])
     while queue:
         q = queue.popleft()
         for e, dst in adj[q]:
@@ -115,9 +108,17 @@ def _bfs_parents(g: Generator) -> dict[int, tuple[int, int] | None]:
     return parents
 
 
-def _bfs_renumber(g: Generator) -> tuple[Generator, dict[int, int]]:
-    """Reachable part of non-empty ``g`` in BFS order, and its old-to-new state map."""
-    order = {q: i for i, q in enumerate(_bfs_parents(g))}
+def _bfs_renumber(g: Generator, adj: Sequence[Iterable[tuple[int, int]]]
+                  ) -> tuple[Generator, dict[int, int]]:
+    """The part of non-empty ``g`` that ``adj`` reaches, in BFS order, and its state map.
+
+    ``adj`` is ``g.out_edges()``, or its restriction to a set of states that
+    holds ``g.initial`` (the edges between kept states).  Transitions keep
+    their order in ``g``, so a restriction gives what renumbering the
+    restricted generator would, without building that generator.
+    """
+    order = {q: i for i, q in enumerate(_bfs_parents(adj, g.initial))}
+    del adj  # a caller's temporary adjacency is freed before the copy, to keep the peak down
     transitions = {
         (order[s], e): order[t]
         for (s, e), t in g.transitions.items()
@@ -131,13 +132,13 @@ def renumber_bfs(g: Generator) -> Generator:
     """Restrict to the reachable part and renumber states in BFS order."""
     if g.is_empty:
         return g
-    return _bfs_renumber(g)[0]
+    return _bfs_renumber(g, g.out_edges())[0]
 
 
 def reachable_states(g: Generator) -> frozenset[int]:
     if g.is_empty:
         return frozenset()
-    return frozenset(_bfs_parents(g))
+    return frozenset(_bfs_parents(g.out_edges(), g.initial))
 
 
 def coreachable_states(g: Generator) -> frozenset[int]:
@@ -448,7 +449,8 @@ def _minimal(gen: Generator) -> tuple[Generator, list[int]]:
     adj = _successors(gen)
     block = _refine(((s in gen.marked, frozenset(succ)) for s, succ in enumerate(adj)),
                     adj, sorted(gen.alphabet))
-    final, order = _bfs_renumber(_quotient(gen, block))
+    quotient = _quotient(gen, block)
+    final, order = _bfs_renumber(quotient, quotient.out_edges())
     return final, [order[b] for b in block]
 
 
@@ -492,9 +494,9 @@ def language_subset(a: Generator, b: Generator) -> bool:
     if b.is_empty:
         return False
     _, pairs = _product([a, b], dict.fromkeys(a.alphabet, (0, 1)))
-    a_elig = _eligible_sets(a)
-    b_elig = _eligible_sets(b)
-    return all((x not in a.marked or y in b.marked) and a_elig[x] <= b_elig[y]
+    a_succ = _successors(a)
+    b_succ = _successors(b)
+    return all((x not in a.marked or y in b.marked) and a_succ[x].keys() <= b_succ[y].keys()
                for x, y in pairs)
 
 

@@ -37,6 +37,10 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_UNSOLVABLE = 2
 
+# Backtracking-tree nodes ``solve`` and ``verify-commutativity`` search before
+# they stop with an error; the acceptance criteria solve under the same budget.
+_MAX_NODES = 200_000
+
 
 class CliError(Exception):
     pass
@@ -172,7 +176,7 @@ def cmd_solve(args) -> int:
         problem = ReconfigProblem(sup, args.source, args.target, args.event)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    paths = trs(problem)
+    paths = trs(problem, _MAX_NODES)
     if not paths.solvable:
         print("unsolvable")
         return EXIT_UNSOLVABLE
@@ -224,7 +228,7 @@ def cmd_verify_commutativity(args) -> int:
     sup = _supervisor_from_block(model, args.supervisor)
     try:
         problem = ReconfigProblem(sup, args.source, args.target, args.event)
-        report = verify_projection_commutativity(problem)
+        report = verify_projection_commutativity(problem, _MAX_NODES)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     for line in report.describe():

@@ -2,7 +2,9 @@
 
 Each prohibitible event gets a local event controller carrying exactly that
 event's enable/disable decisions, and each forcible event a local tick
-controller carrying exactly that event's tick-preemption decisions.  A
+controller carrying exactly that event's tick-preemption decisions: the
+supervisor's disablement and preemption record, ``Supervisor.disabled`` and
+``Supervisor.tick_preempted`` (where the forcible event is offered).  A
 controller is a quotient of the supervisor under the partition that
 ``automata._refine`` computes from the labels (owned decision, marked by the
 plant but not by the supervisor): states are merged when they agree on those
@@ -27,8 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .automata import (Generator, _eligible_sets, _numbered, _quotient, _refine, _successors,
-                       language_equal, renumber_bfs, sync_product)
+from .automata import (Generator, _numbered, _quotient, _refine, _successors, language_equal,
+                       renumber_bfs, sync_product)
 from .events import TICK, EventTable, event_name
 from .solver import (
     CommutativityReport,
@@ -118,30 +120,16 @@ def _controller(gen: Generator, block: Sequence[int], protected: frozenset[int])
                                   quotient.initial, quotient.marked))
 
 
-def _plant_labels(pkg: DecentralizationPackage) -> tuple[list[bool], list[frozenset[int]]]:
-    """Per supervisor state: plant marking and plant-eligible events."""
-    sup = pkg.supervisor
-    plant_gen = pkg.plant.generator
-    plant_elig_at = _eligible_sets(plant_gen)
-    plant_marked = []
-    plant_elig = []
-    for x in range(sup.n_states):
-        p = sup.plant_states[x]
-        if not (0 <= p < plant_gen.n_states):
-            raise ValueError(f"supervisor state {x} tracks unknown plant state {p}")
-        plant_marked.append(p in plant_gen.marked)
-        plant_elig.append(plant_elig_at[p])
-    return plant_marked, plant_elig
-
-
 def timed_localize(pkg: DecentralizationPackage) -> LocalizedSupervisor:
     """Build the decentralized supervisor for a package.
 
     The result always passes ``verify_localization``: it is the greedy
     localization when that verifies, and the trivial fallback otherwise.
-    Raises ``ValueError`` for an empty supervisor or an empty event list and
-    ``RuntimeError`` when even the trivial fallback fails verification (which
-    indicates a composition bug rather than a modeling issue).
+    The supervisor must come from ``supcon``, whose record and plant states
+    give the labels.  Raises ``ValueError`` for an empty supervisor or an
+    empty event list and ``RuntimeError`` when even the trivial fallback fails
+    verification (which indicates a composition bug rather than a modeling
+    issue).
     """
     sup = pkg.supervisor
     if sup.is_empty:
@@ -155,19 +143,22 @@ def timed_localize(pkg: DecentralizationPackage) -> LocalizedSupervisor:
     if not event_targets and not tick_targets:
         raise ValueError("event list contains no prohibitible or forcible events")
 
-    plant_marked, plant_elig = _plant_labels(pkg)
+    plant_gen = pkg.plant.generator
+    demarked = []
+    for x, p in enumerate(sup.plant_states):
+        if not (0 <= p < plant_gen.n_states):
+            raise ValueError(f"supervisor state {x} tracks unknown plant state {p}")
+        demarked.append(p in plant_gen.marked and x not in gen.marked)
     adj = _successors(gen)
-    demarked = [plant_marked[x] and x not in gen.marked for x in range(gen.n_states)]
     events_sorted = sorted(gen.alphabet)
 
     partitions: list[tuple[str, int, list[int]]] = []
     for alpha in event_targets:
-        labels = [(alpha in plant_elig[x] and alpha not in adj[x], demarked[x])
-                  for x in range(gen.n_states)]
+        labels = [(alpha in sup.disabled[x], demarked[x]) for x in range(gen.n_states)]
         partitions.append(("event", alpha, _refine(labels, adj, events_sorted)))
     for beta in tick_targets:
-        labels = [(TICK in plant_elig[x] and TICK not in adj[x] and beta in adj[x],
-                   demarked[x]) for x in range(gen.n_states)]
+        labels = [(sup.tick_preempted[x] and beta in adj[x], demarked[x])
+                  for x in range(gen.n_states)]
         partitions.append(("tick", beta, _refine(labels, adj, events_sorted)))
 
     # Disambiguation: the plant state plus the controllers' joint knowledge

@@ -229,7 +229,7 @@ def _witnesses(gen: Generator, states: Sequence[int]) -> list[Path]:
     """The ``state_witness`` of each of ``states``, read off one BFS tree."""
     if gen.is_empty:
         raise ValueError("empty generator has no states")
-    parents = _bfs_parents(gen)
+    parents = _bfs_parents(gen.out_edges(), gen.initial)
     out = []
     for state in states:
         if state not in parents:

@@ -15,8 +15,8 @@ from typing import Collection, Iterable, Sequence
 from .automata import (
     Generator,
     _bfs_renumber,
-    _eligible_sets,
     _product,
+    _successors,
     allevents,
     sync_product,
 )
@@ -39,13 +39,14 @@ class ControllabilityWitness:
 
 @dataclass(frozen=True)
 class Supervisor:
-    """A synthesized supervisor: trimmed product automaton plus control data.
+    """A synthesized supervisor: trimmed product automaton plus its control record.
 
     ``plant_states[q]`` is the plant state tracked at supervisor state ``q``;
     ``disabled[q]`` lists the prohibitible events the supervisor withholds
     there although the plant could execute them, and ``tick_preempted[q]``
     records whether tick is plant-eligible but suppressed (necessarily backed
-    by an eligible forcible event).
+    by an eligible forcible event).  ``supcon`` fills the record, and
+    ``timed_localize`` builds its controllers' labels from it.
     """
 
     automaton: Generator
@@ -66,9 +67,11 @@ class Supervisor:
     def from_generator(cls, gen: Generator, events: EventTable) -> "Supervisor":
         """Wrap a bare generator (e.g. a projected or localized supervisor).
 
-        No plant is attached, so the control-data fields are vacuous; the
-        wrapper exists so the reconfiguration solver can run on any
-        supervisor-shaped automaton.
+        No plant is attached, so the result carries no control record: its
+        plant states are its own states, nothing is disabled and no tick is
+        preempted.  The reconfiguration solver needs no record, so it runs on
+        any supervisor-shaped automaton; ``timed_localize`` reads the record
+        and the plant states, so it needs a supervisor from ``supcon``.
         """
         n = gen.n_states
         return cls(gen, events, tuple(range(n)),
@@ -110,10 +113,10 @@ def controllable(candidate: Generator, plant: TimedGenerator,
     plant_gen = plant.generator
     _, pairs = _product([candidate, plant_gen],
                         dict.fromkeys(candidate.alphabet | plant_gen.alphabet, (0, 1)))
-    cand_elig = _eligible_sets(candidate)
-    plant_elig = _eligible_sets(plant_gen)
+    cand_succ = _successors(candidate)
+    plant_succ = _successors(plant_gen)
     for x, p in pairs:
-        e = _violation(plant_elig[p], cand_elig[x], events)
+        e = _violation(plant_succ[p], cand_succ[x], events)
         if e is not None:
             return False, ControllabilityWitness(x, p, e)
     return True, None
@@ -131,12 +134,15 @@ def supcon(plant: TimedGenerator, spec: Generator,
     once the worklist runs dry one backward search from the surviving marked
     states deletes the survivors that cannot reach them.  Both conditions
     only get harder to meet as states go, so the survivors are the unique
-    greatest set meeting both, whatever the deletion order; they are then
-    renumbered in BFS order.  An empty supervisor is a legal outcome.
+    greatest set meeting both, whatever the deletion order.  An empty
+    supervisor is a legal outcome.
 
     A state violates controllability by the rule ``controllable`` checks: the
     plant's eligible events at its plant state against the events leading to
     surviving states.
+
+    The result and its control record are read off the same adjacency,
+    confined to the survivors, so no copy of the product is built.
     """
     events = events or plant.events
     extra = spec.alphabet - plant.alphabet - {TICK}
@@ -155,7 +161,7 @@ def supcon(plant: TimedGenerator, spec: Generator,
         for _, t in edges:
             preds[t].append(q)
     alive = [True] * n
-    plant_elig = _eligible_sets(plant_gen)
+    plant_succ = _successors(plant_gen)
 
     def offered(q: int) -> dict[int, int]:
         return {e: t for e, t in adj[q] if alive[t]}
@@ -164,7 +170,7 @@ def supcon(plant: TimedGenerator, spec: Generator,
     while pending and alive[product.initial]:
         while pending:
             q = pending.pop()
-            if alive[q] and _violation(plant_elig[pairs[q][0]], offered(q),
+            if alive[q] and _violation(plant_succ[pairs[q][0]], offered(q),
                                        events) is not None:
                 alive[q] = False
                 pending += preds[q]
@@ -182,32 +188,21 @@ def supcon(plant: TimedGenerator, spec: Generator,
                 alive[q] = False
                 pending += preds[q]
 
-    del preds  # freed before the survivors are copied, to keep the peak down
+    del preds  # freed before the result is built, to keep the peak down
     if not alive[product.initial]:
         return empty
-    survivors = Generator(
-        n,
-        product.alphabet,
-        {(s, e): t for (s, e), t in product.transitions.items() if alive[s] and alive[t]},
-        product.initial,
-        frozenset(q for q in product.marked if alive[q]),
-    )
-    gen, order = _bfs_renumber(survivors)
-
-    plant_states = [0] * len(order)
-    disabled: list[frozenset[int]] = [frozenset()] * len(order)
-    preempted = [False] * len(order)
-    for old, new in order.items():
-        p = pairs[old][0]
-        plant_states[new] = p
-        given = offered(old)
-        pe = plant_elig[p]
-        disabled[new] = frozenset(
-            e for e in pe if e not in given and events.is_prohibitible(e)
-        )
-        preempted[new] = TICK in pe and TICK not in given
-    return Supervisor(gen, events, tuple(plant_states), tuple(disabled),
-                      tuple(preempted))
+    for q, edges in enumerate(adj):  # confined to the survivors in place, for the same reason
+        adj[q] = [(e, t) for e, t in edges if alive[t]] if alive[q] else []
+    gen, order = _bfs_renumber(product, adj)
+    plant_states = tuple(pairs[q][0] for q in order)  # ``order`` runs in new-state order
+    disabled = []
+    preempted = []
+    for q, p in zip(order, plant_states):
+        given = {e for e, _ in adj[q]}
+        disabled.append(frozenset(e for e in plant_succ[p]
+                                  if e not in given and events.is_prohibitible(e)))
+        preempted.append(TICK in plant_succ[p] and TICK not in given)
+    return Supervisor(gen, events, plant_states, tuple(disabled), tuple(preempted))
 
 
 def mode_timed_graph(component_atgs: Sequence[Generator], reconfig_spec: Generator,

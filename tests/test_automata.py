@@ -6,6 +6,7 @@ import pytest
 
 from tdesrec.automata import (
     Generator,
+    _bfs_renumber,
     allevents,
     bounded_language,
     is_nonblocking,
@@ -393,6 +394,32 @@ class TestTrimNonblocking:
             g = random_generator(rng, 6, (1, 2), density=0.4)
             t = trim(g)
             assert bounded_language(g, 6)[1] == bounded_language(t, 6)[1]
+
+
+class TestBfsRenumber:
+    def test_restricted_adjacency_matches_restricted_generator(self):
+        # supcon renumbers its survivors by walking the product's adjacency
+        # confined to them; that must give what renumbering a generator
+        # confined to them gives: the generator, the state map and the
+        # transitions' insertion order.
+        rng = random.Random(1301)
+        partial = 0
+        for _ in range(500):
+            g = random_generator(rng, 8, (1, 2, 3), density=0.6)
+            keep = {q for q in range(g.n_states) if rng.random() < 0.7} | {g.initial}
+            confined = Generator(
+                g.n_states, g.alphabet,
+                {(s, e): t for (s, e), t in g.transitions.items() if s in keep and t in keep},
+                g.initial, g.marked & keep)
+            adj = [[(e, t) for e, t in edges if t in keep] if q in keep else []
+                   for q, edges in enumerate(g.out_edges())]
+            got, got_order = _bfs_renumber(g, adj)
+            want, want_order = _bfs_renumber(confined, confined.out_edges())
+            assert got == want
+            assert got_order == want_order
+            assert list(got.transitions.items()) == list(want.transitions.items())
+            partial += len(want_order) < len(reachable_states(g))
+        assert partial >= 100
 
 
 class TestLanguageEqual:

@@ -165,6 +165,28 @@ class TestSolve:
         assert capsys.readouterr().out == first
 
 
+@pytest.fixture()
+def dense_path(tmp_path):
+    """Twelve states; prohibitible forcible event j leads from every state to state j mod 12."""
+    lines = ["events"] + [f"  {j} prohibitible forcible 1 inf" for j in range(1, 13)]
+    lines += ["spec DENSE", "  states 12", "  initial 0", "  marked 0"]
+    lines += [f"  trans {q} {j} {j % 12}" for q in range(12) for j in range(1, 13)]
+    p = tmp_path / "dense.tdes"
+    p.write_text("\n".join(lines) + "\n")
+    return str(p)
+
+
+class TestNodeBudget:
+    @pytest.mark.parametrize("command", ["solve", "verify-commutativity"])
+    def test_dense_supervisor_exceeds_the_budget(self, dense_path, command, capsys):
+        rc = main([command, dense_path, "--supervisor", "DENSE",
+                   "--from", "0", "--to", "5", "--event", "3"])
+        assert rc == EXIT_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: backtracking tree exceeds 200000 nodes\n"
+
+
 class TestProjectCommand:
     def test_project_writes_smaller_block(self, tmp_path, tsup_path, capsys):
         out = str(tmp_path / "ptsup.tdes")
@@ -206,6 +228,14 @@ class TestLocalizeCommand:
         assert "TDRS" in model.specs
         assert any(name.startswith("LOCC_") for name in model.specs)
         assert any(name.startswith("LOCP_") for name in model.specs)
+
+    def test_fallback_is_reported(self, model_path, capsys):
+        rc = main(["localize", model_path, "--components", "M1", "M2",
+                   "--reconfig", "R", "--spec", "SPEC",
+                   "--reconfig-event", "91", "--ev", "91"])
+        assert rc == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == "localization fell back to the full supervisor"
 
 
 class TestVerifyDecentralized:

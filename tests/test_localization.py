@@ -163,6 +163,17 @@ class TestTimedLocalize:
         # supervisors; a pervasive fallback would point at a regression.
         assert fallbacks <= 2
 
+    def test_trivial_fallback_on_the_factory(self, factory_ttg, factory_supervisor):
+        # Localizing on 91 alone cannot reproduce the supervisor, so the
+        # trivial localization is used: every controller is the supervisor.
+        pkg = DecentralizationPackage(factory_ttg, factory_supervisor, frozenset({91}))
+        loc = timed_localize(pkg)
+        assert loc.used_fallback
+        controllers = list(loc.tick_controllers.values()) + list(loc.event_controllers.values())
+        assert controllers
+        assert all(c == factory_supervisor.automaton for c in controllers)
+        assert verify_localization(pkg, loc)
+
     def test_alphabet_unions(self):
         rng = random.Random(52)
         while True:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable, Mapping, Sequence
 
-from tdesrec.automata import (Generator, ProjectionDetail, _bfs_renumber, _eligible_sets,
-                              _minimal, _product, bounded_language, coreachable_states)
+from tdesrec.automata import (Generator, ProjectionDetail, _bfs_renumber, _minimal, _product,
+                              bounded_language, coreachable_states)
 from tdesrec.events import TICK, PROHIBITIBLE, UNCONTROLLABLE, EventDef, EventTable
 from tdesrec.solver import ReconfigProblem, _backtrackable_into
 from tdesrec.synthesis import Supervisor, _violation, supcon
@@ -319,6 +319,14 @@ def oracle_timed_graph(atg: Generator, events: EventTable,
     return TimedGenerator(gen, events, tuple(states))
 
 
+def _eligible_sets(g: Generator) -> list[frozenset[int]]:
+    """Per-state eligible events of ``g``, from one pass over its transitions."""
+    elig: list[list[int]] = [[] for _ in range(g.n_states)]
+    for src, e in g.transitions:
+        elig[src].append(e)
+    return [frozenset(events) for events in elig]
+
+
 def oracle_supcon_rounds(plant: TimedGenerator, spec: Generator,
                          events: EventTable | None = None) -> Supervisor:
     """``synthesis.supcon`` as first written, in rounds of whole-product sweeps.
@@ -386,7 +394,8 @@ def oracle_supcon_rounds(plant: TimedGenerator, spec: Generator,
         empty = Generator(0, product.alphabet, {}, 0, frozenset())
         return Supervisor(empty, events, (), (), ())
 
-    gen, order = _bfs_renumber(restricted())
+    survivors = restricted()
+    gen, order = _bfs_renumber(survivors, survivors.out_edges())
 
     plant_states = [0] * len(order)
     disabled: list[frozenset[int]] = [frozenset()] * len(order)
