@@ -158,18 +158,19 @@ def coreachable_states(g: Generator) -> frozenset[int]:
 
 
 def trim(g: Generator) -> Generator:
-    """Keep states that are both reachable and coreachable."""
+    """Keep states that are both reachable and coreachable, in BFS order.
+
+    The BFS walks the adjacency confined to the coreachable states, which is
+    exact: every path to a coreachable state runs through coreachable states.
+    """
     if g.is_empty:
         return g
-    keep = reachable_states(g) & coreachable_states(g)
+    keep = coreachable_states(g)
     if g.initial not in keep:
         return Generator(0, g.alphabet, {}, 0, frozenset())
-    transitions = {
-        (s, e): t for (s, e), t in g.transitions.items() if s in keep and t in keep
-    }
-    pruned = Generator(g.n_states, g.alphabet, transitions, g.initial,
-                       g.marked & keep)
-    return renumber_bfs(pruned)
+    adj = [[(e, t) for e, t in edges if t in keep] if q in keep else []
+           for q, edges in enumerate(g.out_edges())]
+    return _bfs_renumber(g, adj)[0]
 
 
 def is_nonblocking(g: Generator) -> bool:
@@ -471,14 +472,12 @@ def project(g: Generator, erase: Iterable[int]) -> Generator:
 
 
 def language_equal(a: Generator, b: Generator) -> bool:
-    """True iff closed and marked languages both coincide; alphabets must match."""
-    if a.alphabet != b.alphabet:
-        raise ValueError("alphabet mismatch")
-    # An empty generator's ``initial`` field carries no meaning, so emptiness
-    # is compared before the minimal forms.
-    if a.is_empty or b.is_empty:
-        return a.is_empty and b.is_empty
-    return minimize(a) == minimize(b)
+    """True iff closed and marked languages both coincide; alphabets must match.
+
+    That is inclusion both ways, each decided by ``language_subset`` on the
+    reachable state pairs of the product, with no minimization.
+    """
+    return language_subset(a, b) and language_subset(b, a)
 
 
 def language_subset(a: Generator, b: Generator) -> bool:

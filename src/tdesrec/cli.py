@@ -31,7 +31,7 @@ from .solver import (
     verify_projection_commutativity,
 )
 from .synthesis import Supervisor, _synthesize_with_plant, supcon
-from .timed import TimedGenerator, timed_graph
+from .timed import DEFAULT_STATE_CAP, TimedGenerator, timed_graph
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -172,10 +172,7 @@ def cmd_synth_tcrs(args) -> int:
 def cmd_solve(args) -> int:
     model = _load(args.model)
     sup = _supervisor_from_block(model, args.supervisor)
-    try:
-        problem = ReconfigProblem(sup, args.source, args.target, args.event)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    problem = ReconfigProblem(sup, args.source, args.target, args.event)
     paths = trs(problem, _MAX_NODES)
     if not paths.solvable:
         print("unsolvable")
@@ -226,11 +223,8 @@ def cmd_localize(args) -> int:
 def cmd_verify_commutativity(args) -> int:
     model = _load(args.model)
     sup = _supervisor_from_block(model, args.supervisor)
-    try:
-        problem = ReconfigProblem(sup, args.source, args.target, args.event)
-        report = verify_projection_commutativity(problem, _MAX_NODES)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    problem = ReconfigProblem(sup, args.source, args.target, args.event)
+    report = verify_projection_commutativity(problem, _MAX_NODES)
     for line in report.describe():
         print(line)
     return EXIT_OK
@@ -248,12 +242,9 @@ def cmd_verify_decentralized(args) -> int:
             "and forcible for decentralized solving")
     ev = frozenset(args.ev) if args.ev else default_event_list(sup)
     pkg = DecentralizationPackage(plant, sup, ev)
-    try:
-        problem = ReconfigProblem(sup, args.source, args.target, sigma_r)
-        loc = timed_localize(pkg)
-        report = verify_solution_equivalence(pkg, loc, problem)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    problem = ReconfigProblem(sup, args.source, args.target, sigma_r)
+    loc = timed_localize(pkg)
+    report = verify_solution_equivalence(pkg, loc, problem)
     for line in report.describe():
         print(line)
     print("-- tick-projection commutativity on the decentralized supervisor --")
@@ -284,7 +275,7 @@ def _add_pipeline_args(p: argparse.ArgumentParser) -> None:
                    help="behavioral specification block")
     p.add_argument("--reconfig-event", type=int, action="append",
                    metavar="E", help="declared reconfiguration event (repeatable)")
-    p.add_argument("--max-states", type=int, default=1_000_000)
+    p.add_argument("--max-states", type=int, default=DEFAULT_STATE_CAP)
 
 
 def _add_problem_args(p: argparse.ArgumentParser) -> None:
@@ -310,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("atg")
     p.add_argument("--name", default="TTG")
-    p.add_argument("--max-states", type=int, default=1_000_000)
+    p.add_argument("--max-states", type=int, default=DEFAULT_STATE_CAP)
     p.add_argument("--dot", metavar="FILE",
                    help="also write a GraphViz rendering whose state labels "
                         "read activity|event:timer")
@@ -323,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="plant ATG block(s); composed before timing")
     p.add_argument("--spec", required=True)
     p.add_argument("--name", default="SUP")
-    p.add_argument("--max-states", type=int, default=1_000_000)
+    p.add_argument("--max-states", type=int, default=DEFAULT_STATE_CAP)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_supcon)
 
@@ -389,10 +380,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (ValueError, RuntimeError) as exc:
+    except (CliError, ValueError, RuntimeError) as exc:
         # RuntimeError covers RecursionError from the library on deep inputs.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -102,15 +102,12 @@ class EventTable:
 
     def is_forcible(self, label: int) -> bool:
         """Forcibility of any label: tick and undeclared labels are not forcible."""
-        d = self._by_label.get(label)
-        return d is not None and d.forcible
+        return label in self.forcible
 
     def is_prohibitible(self, label: int) -> bool:
         """Tick is neither prohibitible nor forcible; it is preempted, not disabled."""
-        d = self._by_label.get(label)
-        return d is not None and d.control == PROHIBITIBLE
+        return label in self.prohibitible
 
     def is_uncontrollable(self, label: int) -> bool:
         """True for declared uncontrollable activity events (tick is handled separately)."""
-        d = self._by_label.get(label)
-        return d is not None and d.control == UNCONTROLLABLE
+        return label in self.uncontrollable

@@ -126,10 +126,11 @@ def timed_localize(pkg: DecentralizationPackage) -> LocalizedSupervisor:
     The result always passes ``verify_localization``: it is the greedy
     localization when that verifies, and the trivial fallback otherwise.
     The supervisor must come from ``supcon``, whose record and plant states
-    give the labels.  Raises ``ValueError`` for an empty supervisor or an
-    empty event list and ``RuntimeError`` when even the trivial fallback fails
-    verification (which indicates a composition bug rather than a modeling
-    issue).
+    give the labels.  Raises ``ValueError`` for an empty supervisor, an empty
+    event list, or a supervisor that does not track the package's plant (its
+    initial state, or a transition, has no plant counterpart), and
+    ``RuntimeError`` when even the trivial fallback fails verification (which
+    indicates a composition bug rather than a modeling issue).
     """
     sup = pkg.supervisor
     if sup.is_empty:
@@ -144,12 +145,19 @@ def timed_localize(pkg: DecentralizationPackage) -> LocalizedSupervisor:
         raise ValueError("event list contains no prohibitible or forcible events")
 
     plant_gen = pkg.plant.generator
+    plant_states = sup.plant_states
+    if plant_states[gen.initial] != plant_gen.initial:
+        raise ValueError("supervisor initial state does not track the plant's initial state")
+    adj = _successors(gen)
     demarked = []
-    for x, p in enumerate(sup.plant_states):
+    for x, p in enumerate(plant_states):
         if not (0 <= p < plant_gen.n_states):
             raise ValueError(f"supervisor state {x} tracks unknown plant state {p}")
+        for e, t in adj[x].items():
+            if plant_gen.transitions.get((p, e)) != plant_states[t]:
+                raise ValueError(f"supervisor transition {x} -{event_name(e)}-> {t} has no "
+                                 f"plant transition {p} -{event_name(e)}-> {plant_states[t]}")
         demarked.append(p in plant_gen.marked and x not in gen.marked)
-    adj = _successors(gen)
     events_sorted = sorted(gen.alphabet)
 
     partitions: list[tuple[str, int, list[int]]] = []
@@ -168,7 +176,7 @@ def timed_localize(pkg: DecentralizationPackage) -> LocalizedSupervisor:
     while True:
         joint: dict[tuple, list[int]] = {}
         for x in range(gen.n_states):
-            key = (sup.plant_states[x],) + tuple(block[x] for _, _, block in partitions)
+            key = (plant_states[x],) + tuple(block[x] for _, _, block in partitions)
             joint.setdefault(key, []).append(x)
         clashes = [x for xs in joint.values() if len(xs) > 1 for x in xs]
         if not clashes:

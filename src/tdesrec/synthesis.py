@@ -21,7 +21,7 @@ from .automata import (
     sync_product,
 )
 from .events import TICK, EventTable, event_name
-from .timed import TimedGenerator, timed_graph
+from .timed import DEFAULT_STATE_CAP, TimedGenerator, timed_graph
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,8 @@ class Supervisor:
         plant states are its own states, nothing is disabled and no tick is
         preempted.  The reconfiguration solver needs no record, so it runs on
         any supervisor-shaped automaton; ``timed_localize`` reads the record
-        and the plant states, so it needs a supervisor from ``supcon``.
+        and the plant states, so it needs a supervisor from ``supcon`` and
+        refuses one whose plant states do not follow the plant.
         """
         n = gen.n_states
         return cls(gen, events, tuple(range(n)),
@@ -152,9 +153,6 @@ def supcon(plant: TimedGenerator, spec: Generator,
     product, pairs = _product([plant_gen, spec],
                               dict.fromkeys(plant_gen.alphabet | spec.alphabet, (0, 1)))
     n = product.n_states
-    empty = Supervisor(Generator(0, product.alphabet, {}, 0, frozenset()), events, (), (), ())
-    if n == 0:
-        return empty
     adj = product.out_edges()
     preds: list[list[int]] = [[] for _ in range(n)]
     for q, edges in enumerate(adj):
@@ -189,8 +187,8 @@ def supcon(plant: TimedGenerator, spec: Generator,
                 pending += preds[q]
 
     del preds  # freed before the result is built, to keep the peak down
-    if not alive[product.initial]:
-        return empty
+    if not n or not alive[product.initial]:
+        return Supervisor(Generator(0, product.alphabet, {}, 0, frozenset()), events, (), (), ())
     for q, edges in enumerate(adj):  # confined to the survivors in place, for the same reason
         adj[q] = [(e, t) for e, t in edges if alive[t]] if alive[q] else []
     gen, order = _bfs_renumber(product, adj)
@@ -206,7 +204,7 @@ def supcon(plant: TimedGenerator, spec: Generator,
 
 
 def mode_timed_graph(component_atgs: Sequence[Generator], reconfig_spec: Generator,
-                     events: EventTable, max_states: int = 1_000_000) -> TimedGenerator:
+                     events: EventTable, max_states: int = DEFAULT_STATE_CAP) -> TimedGenerator:
     """Timed graph of the components composed with the reconfiguration spec."""
     mode_atg = sync_product(list(component_atgs) + [reconfig_spec])
     return timed_graph(mode_atg, events, max_states=max_states)
@@ -215,7 +213,7 @@ def mode_timed_graph(component_atgs: Sequence[Generator], reconfig_spec: Generat
 def synthesize_tcrs(component_atgs: Sequence[Generator], reconfig_spec: Generator,
                     behavioral_spec: Generator, events: EventTable,
                     reconfig_events: Sequence[int] = (),
-                    max_states: int = 1_000_000) -> Supervisor:
+                    max_states: int = DEFAULT_STATE_CAP) -> Supervisor:
     """Full synthesis pipeline for a timed centralized reconfiguration supervisor.
 
     Composes the component ATGs with the reconfiguration specification, builds

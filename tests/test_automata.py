@@ -36,6 +36,7 @@ from util import (
     oracle_product_membership,
     oracle_project_detail,
     oracle_subset_map,
+    oracle_trim,
     random_generator,
     random_projection_input,
 )
@@ -47,6 +48,36 @@ def chain(events, marked_last=True):
     transitions = {(i, e): i + 1 for i, e in enumerate(events)}
     marked = frozenset({n - 1}) if marked_last else frozenset({0})
     return Generator(n, frozenset(events), transitions, 0, marked)
+
+
+def permuted(g, rng):
+    """``g`` with its states renamed by a random permutation."""
+    perm = list(range(g.n_states))
+    rng.shuffle(perm)
+    return Generator(g.n_states, g.alphabet,
+                     {(perm[s], e): perm[t] for (s, e), t in g.transitions.items()},
+                     perm[g.initial], frozenset(perm[q] for q in g.marked))
+
+
+def twinned(g, rng):
+    """``g`` plus a twin of one state, taking some of that state's incoming transitions."""
+    q = rng.randrange(g.n_states)
+    twin = g.n_states
+    transitions = {k: twin if t == q and rng.random() < 0.5 else t
+                   for k, t in g.transitions.items()}
+    transitions.update({(twin, e): t for (s, e), t in g.transitions.items() if s == q})
+    marked = g.marked | {twin} if q in g.marked else g.marked
+    return Generator(g.n_states + 1, g.alphabet, transitions, g.initial, marked)
+
+
+def with_unreachable(g, rng):
+    """``g`` plus a state no transition enters, with random moves and marking."""
+    extra = g.n_states
+    transitions = dict(g.transitions)
+    transitions.update({(extra, e): rng.randrange(g.n_states + 1)
+                        for e in g.alphabet if rng.random() < 0.7})
+    marked = g.marked | {extra} if rng.random() < 0.5 else g.marked
+    return Generator(g.n_states + 1, g.alphabet, transitions, g.initial, marked)
 
 
 class TestEventDefs:
@@ -79,8 +110,12 @@ class TestEventDefs:
         assert table.forcible == {1}
         assert table.prohibitible == {1}
         assert table.uncontrollable == {2}
-        assert not table.is_forcible(TICK)
-        assert not table.is_prohibitible(TICK)
+        for label, forcible, prohibitible, uncontrollable in [
+                (1, True, True, False), (2, False, False, True),
+                (TICK, False, False, False), (99, False, False, False)]:
+            assert table.is_forcible(label) == forcible
+            assert table.is_prohibitible(label) == prohibitible
+            assert table.is_uncontrollable(label) == uncontrollable
 
     def test_event_name(self):
         assert event_name(TICK) == "tick"
@@ -388,6 +423,23 @@ class TestTrimNonblocking:
             t = trim(g)
             assert is_nonblocking(t)
 
+    def test_matches_the_pruned_generator_oracle(self):
+        # Raw generators, not BFS-renumbered: unreachable and non-coreachable
+        # states, any initial state, and sometimes no marked state at all.
+        rng = random.Random(15)
+        empty = 0
+        for _ in range(500):
+            n = rng.randint(1, 8)
+            transitions = {(s, e): rng.randrange(n)
+                           for s in range(n) for e in (1, 2, 3) if rng.random() < 0.4}
+            marked = frozenset(s for s in range(n) if rng.random() < 0.25)
+            g = Generator(n, frozenset({1, 2, 3}), transitions, rng.randrange(n), marked)
+            got, want = trim(g), oracle_trim(g)
+            assert got == want
+            assert list(got.transitions.items()) == list(want.transitions.items())
+            empty += got.is_empty
+        assert 50 <= empty <= 450
+
     def test_trim_preserves_marked_language(self):
         rng = random.Random(8)
         for _ in range(30):
@@ -444,25 +496,31 @@ class TestLanguageEqual:
             assert language_equal(g, project(g, frozenset()))
 
     def test_agrees_with_bounded_oracle(self):
+        # Two generators with n and m states that differ in language differ
+        # on a string no longer than n + m.  Beside random pairs, each round
+        # adds pairs equal in language by construction: a permuted copy, a
+        # copy with one state twinned and a copy with an unreachable state.
         rng = random.Random(10)
+        pairs = [(Generator(0, frozenset({1, 2}), {}, 0, frozenset()),
+                  Generator(0, frozenset({1, 2}), {}, 3, frozenset()))]
         for _ in range(60):
             a = random_generator(rng, 4, (1, 2), density=0.5)
-            b = random_generator(rng, 4, (1, 2), density=0.5)
-            assert language_equal(a, b) == oracle_language_equal(a, b, 9)
+            pairs.append((a, random_generator(rng, 4, (1, 2), density=0.5)))
+            pairs += [(a, permuted(a, rng)), (a, twinned(a, rng)), (a, with_unreachable(a, rng))]
+        verdicts = []
+        for a, b in pairs:
+            verdict = language_equal(a, b)
+            assert verdict == oracle_language_equal(a, b, a.n_states + b.n_states)
+            verdicts.append(verdict)
+        assert verdicts.count(True) > len(pairs) * 3 // 4 and False in verdicts
 
     def test_minimal_form_ignores_state_numbering(self):
-        # language_equal compares minimal forms, so these must not depend on
-        # how the input numbers its states.
+        # Two generators with the same languages share one minimal form, so
+        # it must not depend on how the input numbers its states.
         rng = random.Random(12)
         for _ in range(200):
             g = random_generator(rng, 7, (1, 2, 3), density=0.5)
-            perm = list(range(g.n_states))
-            rng.shuffle(perm)
-            permuted = Generator(
-                g.n_states, g.alphabet,
-                {(perm[s], e): perm[t] for (s, e), t in g.transitions.items()},
-                perm[g.initial], frozenset(perm[q] for q in g.marked))
-            assert minimize(permuted) == minimize(g)
+            assert minimize(permuted(g, rng)) == minimize(g)
 
     def test_empty_generators_equal_whatever_initial(self):
         a = Generator(0, frozenset({1}), {}, 0, frozenset())

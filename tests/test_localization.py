@@ -1,5 +1,6 @@
 """Decentralization: controller construction, the defining identity, transport."""
 
+import dataclasses
 import random
 
 import pytest
@@ -157,6 +158,8 @@ class TestTimedLocalize:
                 continue
             loc = timed_localize(pkg)
             assert verify_localization(pkg, loc)
+            # The structural identity: the closed loop is the supervisor.
+            assert sync_product([pkg.plant.generator, loc.tdrs]) == pkg.supervisor.automaton
             fallbacks += loc.used_fallback
             done += 1
         # The greedy cover should essentially always verify on pipeline
@@ -173,6 +176,34 @@ class TestTimedLocalize:
         assert controllers
         assert all(c == factory_supervisor.automaton for c in controllers)
         assert verify_localization(pkg, loc)
+        assert sync_product([factory_ttg.generator, loc.tdrs]) == factory_supervisor.automaton
+
+    @pytest.mark.parametrize("event_list", [None, {91}, {31, 91}, {13, 23}])
+    def test_closed_loop_is_the_factory_supervisor(self, factory_ttg, factory_supervisor,
+                                                   event_list):
+        # Greedy (default list, {31, 91}) or fallback ({91}, {13, 23}), the
+        # plant under the controllers is the supervisor itself, state for
+        # state and numbered alike (DECISIONS.md, "The closed loop is the
+        # supervisor").
+        ev = frozenset(event_list) if event_list else default_event_list(factory_supervisor)
+        loc = timed_localize(DecentralizationPackage(factory_ttg, factory_supervisor, ev))
+        assert sync_product([factory_ttg.generator, loc.tdrs]) == factory_supervisor.automaton
+
+    def test_supervisor_that_does_not_track_the_plant_rejected(self, factory_ttg,
+                                                               factory_supervisor):
+        # A wrapped generator carries no record: its plant states are its own
+        # states, which the factory plant's transitions do not follow.
+        wrapped = Supervisor.from_generator(factory_supervisor.automaton,
+                                            factory_supervisor.events)
+        pkg = DecentralizationPackage(factory_ttg, wrapped, default_event_list(wrapped))
+        with pytest.raises(ValueError, match="has no plant transition"):
+            timed_localize(pkg)
+
+    def test_supervisor_starting_off_the_plant_initial_state_rejected(self):
+        pkg = single_loop_package()
+        swapped = dataclasses.replace(pkg.supervisor, plant_states=(1, 0))
+        with pytest.raises(ValueError, match="initial state"):
+            timed_localize(DecentralizationPackage(pkg.plant, swapped, pkg.event_list))
 
     def test_alphabet_unions(self):
         rng = random.Random(52)

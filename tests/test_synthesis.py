@@ -143,9 +143,14 @@ class TestSupcon:
 
     def test_empty_spec_gives_empty_supervisor(self):
         plant, events = small_plant()
-        empty = Generator(1, plant.generator.alphabet, {}, 0, frozenset())
-        sup = supcon(plant, empty)
-        assert sup.is_empty
+        # A spec with no marked state, and one with no state at all (an empty
+        # product, so no deletion round runs).
+        for n in (1, 0):
+            empty = Generator(n, plant.generator.alphabet, {}, 0, frozenset())
+            sup = supcon(plant, empty)
+            assert sup.is_empty
+            assert sup.automaton == Generator(0, plant.generator.alphabet, {}, 0, frozenset())
+            assert sup.plant_states == sup.disabled == sup.tick_preempted == ()
 
     def test_controllable_predecessor_removed(self):
         # The plant can enter a trap through controllable 3; behind it an

@@ -16,7 +16,8 @@ from itertools import combinations, product
 from typing import Iterable, Mapping, Sequence
 
 from tdesrec.automata import (Generator, ProjectionDetail, _bfs_renumber, _minimal, _product,
-                              bounded_language, coreachable_states)
+                              bounded_language, coreachable_states, reachable_states,
+                              renumber_bfs)
 from tdesrec.events import TICK, PROHIBITIBLE, UNCONTROLLABLE, EventDef, EventTable
 from tdesrec.solver import ReconfigProblem, _backtrackable_into
 from tdesrec.synthesis import Supervisor, _violation, supcon
@@ -38,8 +39,6 @@ def random_generator(rng: random.Random, max_states: int = 5,
     if not marked:
         marked = frozenset({rng.randrange(n)})
     g = Generator(n, frozenset(alphabet), transitions, 0, marked)
-    from tdesrec.automata import renumber_bfs
-
     return renumber_bfs(g)
 
 
@@ -145,6 +144,21 @@ def sample_problems(rng: random.Random, sup: Supervisor,
 def oracle_language_equal(a: Generator, b: Generator, depth: int) -> bool:
     """Bounded-enumeration language comparison."""
     return bounded_language(a, depth) == bounded_language(b, depth)
+
+
+def oracle_trim(g: Generator) -> Generator:
+    """``automata.trim`` as first written: prune to a generator, then renumber it."""
+    if g.is_empty:
+        return g
+    keep = reachable_states(g) & coreachable_states(g)
+    if g.initial not in keep:
+        return Generator(0, g.alphabet, {}, 0, frozenset())
+    transitions = {
+        (s, e): t for (s, e), t in g.transitions.items() if s in keep and t in keep
+    }
+    pruned = Generator(g.n_states, g.alphabet, transitions, g.initial,
+                       g.marked & keep)
+    return renumber_bfs(pruned)
 
 
 def oracle_minimal_states(g: Generator) -> int:
@@ -739,8 +753,7 @@ def oracle_supremal(plant: TimedGenerator, spec: Generator,
     trims, checks timed controllability directly against the plant, and
     keeps the candidate whose language contains all others.
     """
-    from tdesrec.automata import _product, language_subset, renumber_bfs
-    from tdesrec.automata import coreachable_states, reachable_states
+    from tdesrec.automata import language_subset
 
     product, pairs = _product([plant.generator, spec], dict.fromkeys(
         plant.generator.alphabet | spec.alphabet, (0, 1)))
