@@ -209,7 +209,8 @@ def cmd_localize(args) -> int:
         ctrl = loc.event_controllers[alpha]
         print(f"event controller {alpha}: {ctrl.n_states} states, "
               f"alphabet {sorted(map(event_name, ctrl.alphabet))}")
-    # timed_localize returns only a localization that passed verify_localization.
+    # timed_localize returns only a localization whose closed loop is the
+    # supervisor: the greedy one after verify_localization, or the fallback.
     print("defining identity verified: True")
     if args.output:
         specs = {f"LOCP_{b}": g for b, g in loc.tick_controllers.items()}
@@ -235,14 +236,9 @@ def cmd_verify_decentralized(args) -> int:
     plant, sup = _synthesize(model, args)
     if sup.is_empty:
         raise CliError("no admissible behavior")
-    sigma_r = args.event
-    if not (model.events.is_prohibitible(sigma_r) and model.events.is_forcible(sigma_r)):
-        raise CliError(
-            f"reconfiguration event {sigma_r} must be declared both prohibitible "
-            "and forcible for decentralized solving")
     ev = frozenset(args.ev) if args.ev else default_event_list(sup)
     pkg = DecentralizationPackage(plant, sup, ev)
-    problem = ReconfigProblem(sup, args.source, args.target, sigma_r)
+    problem = ReconfigProblem(sup, args.source, args.target, args.event)
     loc = timed_localize(pkg)
     report = verify_solution_equivalence(pkg, loc, problem)
     for line in report.describe():

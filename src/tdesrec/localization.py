@@ -14,14 +14,15 @@ self-loops everywhere are dropped from the controller's alphabet.
 
 A final disambiguation pass keeps the joint state knowledge of plant plus all
 controllers injective over supervisor states, so the decentralized closed
-loop tracks the centralized supervisor state for state.  The construction is
-verified against the defining identity (plant composed with the controllers
-reproduces the supervised behavior, closed and marked); if verification ever
-fails, the trivial localization (every controller a full supervisor copy) is
-used instead.
+loop tracks the centralized supervisor state for state.  The defining
+identity is that the closed loop (plant composed with the controllers) is
+the supervisor itself, the same generator state for state; if the greedy
+construction does not reach it, the trivial localization (every controller a
+full supervisor copy) is used instead, which reaches it by construction.
 
 Both decentralized verifiers take the ``LocalizedSupervisor`` of the package,
-so one ``timed_localize`` call serves both.
+so one ``timed_localize`` call serves both, and pose the problem on the
+closed loop with its own source and target.
 """
 
 from __future__ import annotations
@@ -29,14 +30,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .automata import (Generator, _numbered, _quotient, _refine, _successors, language_equal,
+from .automata import (Generator, _bfs_parents, _numbered, _quotient, _refine, _successors,
                        renumber_bfs, sync_product)
 from .events import TICK, EventTable, event_name
 from .solver import (
     CommutativityReport,
     Path,
     ReconfigProblem,
-    _witnesses,
+    state_witness,
     trs,
     verify_projection_commutativity,
 )
@@ -127,10 +128,11 @@ def timed_localize(pkg: DecentralizationPackage) -> LocalizedSupervisor:
     localization when that verifies, and the trivial fallback otherwise.
     The supervisor must come from ``supcon``, whose record and plant states
     give the labels.  Raises ``ValueError`` for an empty supervisor, an empty
-    event list, or a supervisor that does not track the package's plant (its
-    initial state, or a transition, has no plant counterpart), and
-    ``RuntimeError`` when even the trivial fallback fails verification (which
-    indicates a composition bug rather than a modeling issue).
+    event list, or a supervisor outside the contract every ``supcon`` result
+    meets: its alphabet is the plant's, its states are numbered in BFS order,
+    and it tracks the plant (its initial state tracks the plant's, each of its
+    transitions has a matching plant transition, and each marked state tracks
+    a marked plant state).
     """
     sup = pkg.supervisor
     if sup.is_empty:
@@ -146,6 +148,10 @@ def timed_localize(pkg: DecentralizationPackage) -> LocalizedSupervisor:
 
     plant_gen = pkg.plant.generator
     plant_states = sup.plant_states
+    if gen.alphabet != plant_gen.alphabet:
+        raise ValueError("supervisor alphabet differs from the plant's")
+    if list(_bfs_parents(gen.out_edges(), gen.initial)) != list(range(gen.n_states)):
+        raise ValueError("supervisor states are not numbered in BFS order")
     if plant_states[gen.initial] != plant_gen.initial:
         raise ValueError("supervisor initial state does not track the plant's initial state")
     adj = _successors(gen)
@@ -157,6 +163,8 @@ def timed_localize(pkg: DecentralizationPackage) -> LocalizedSupervisor:
             if plant_gen.transitions.get((p, e)) != plant_states[t]:
                 raise ValueError(f"supervisor transition {x} -{event_name(e)}-> {t} has no "
                                  f"plant transition {p} -{event_name(e)}-> {plant_states[t]}")
+        if x in gen.marked and p not in plant_gen.marked:
+            raise ValueError(f"marked supervisor state {x} tracks unmarked plant state {p}")
         demarked.append(p in plant_gen.marked and x not in gen.marked)
     events_sorted = sorted(gen.alphabet)
 
@@ -197,15 +205,11 @@ def timed_localize(pkg: DecentralizationPackage) -> LocalizedSupervisor:
     loc = _compose(tick_controllers, event_controllers, used_fallback=False)
     if verify_localization(pkg, loc):
         return loc
-
-    full = gen
-    tick_controllers = {beta: full for beta in tick_targets}
-    event_controllers = {alpha: full for alpha in event_targets}
-    fallback = _compose(tick_controllers, event_controllers, used_fallback=True)
-    if not verify_localization(pkg, fallback):
-        raise RuntimeError(
-            "trivial localization failed verification; composition machinery is broken")
-    return fallback
+    # Under the contract checked above, the trivial localization's closed loop
+    # is the supervisor by construction (DECISIONS.md, "The closed loop is the
+    # supervisor"), so it is not checked again.
+    return _compose({beta: gen for beta in tick_targets},
+                    {alpha: gen for alpha in event_targets}, used_fallback=True)
 
 
 def _compose(tick_controllers: Mapping[int, Generator],
@@ -221,22 +225,14 @@ def _compose(tick_controllers: Mapping[int, Generator],
 
 
 def verify_localization(pkg: DecentralizationPackage, loc: LocalizedSupervisor) -> bool:
-    """Defining identity: plant composed with the controllers equals the supervisor.
+    """Defining identity: plant composed with the controllers is the supervisor.
 
     Events absent from the decentralized alphabet are unconstrained, so the
-    composition is synchronous (an inverse-projection intersection), compared
-    for both closed and marked language.
+    composition is synchronous (an inverse-projection intersection).  The
+    closed loop must equal the supervisor as a generator, state for state and
+    numbered alike, not only in language: the solver works on states.
     """
-    closed_loop = sync_product([pkg.plant.generator, loc.tdrs])
-    sup_gen = pkg.supervisor.automaton
-    union = closed_loop.alphabet | sup_gen.alphabet
-
-    def pad(g: Generator) -> Generator:
-        if g.alphabet == union:
-            return g
-        return Generator(g.n_states, union, dict(g.transitions), g.initial, g.marked)
-
-    return language_equal(pad(closed_loop), pad(sup_gen))
+    return decentralized_closed_loop(pkg, loc).automaton == pkg.supervisor.automaton
 
 
 def decentralized_closed_loop(pkg: DecentralizationPackage,
@@ -247,19 +243,16 @@ def decentralized_closed_loop(pkg: DecentralizationPackage,
 
 
 def _transported(pkg: DecentralizationPackage, loc: LocalizedSupervisor,
-                 problem: ReconfigProblem) -> tuple[ReconfigProblem, Path]:
-    """The problem carried into the decentralized closed loop, and the source witness.
+                 problem: ReconfigProblem) -> ReconfigProblem:
+    """The problem posed on the decentralized closed loop, with its own states.
 
-    Source and target are carried along their shortest witness strings in the
-    centralized supervisor (the synchronized-state correspondence).
+    Raises ``ValueError`` unless the closed loop is the supervisor, which is
+    what makes the problem's source and target its states too.
     """
     closed_loop = decentralized_closed_loop(pkg, loc)
-    witnesses = _witnesses(pkg.supervisor.automaton, [problem.source, problem.target])
-    source, target = (closed_loop.automaton.run(w) for w in witnesses)
-    if source is None or target is None:
-        raise ValueError("correspondence not established")
-    dec_problem = ReconfigProblem(closed_loop, source, target, problem.reconfig_event)
-    return dec_problem, witnesses[0]
+    if closed_loop.automaton != pkg.supervisor.automaton:
+        raise ValueError("decentralized closed loop differs from the supervisor")
+    return ReconfigProblem(closed_loop, problem.source, problem.target, problem.reconfig_event)
 
 
 @dataclass(frozen=True)
@@ -269,8 +262,6 @@ class SolutionEquivalenceReport:
     centralized: frozenset[Path]
     decentralized: frozenset[Path]
     equal: bool
-    decentralized_source: int
-    decentralized_target: int
     sigma_r_in_tick_alphabet: bool
     sigma_r_in_event_alphabet: bool
     replay_ok_tick_side: bool
@@ -315,12 +306,12 @@ def verify_solution_equivalence(pkg: DecentralizationPackage, loc: LocalizedSupe
                                 problem: ReconfigProblem) -> SolutionEquivalenceReport:
     """Solve the problem centrally and on the closed loop under ``loc``.
 
-    The source and target are transported into the decentralized composition
-    along their shortest witness strings (the synchronized-state
-    correspondence); the two path sets are compared exactly.  Each solution
-    is additionally replayed inside the composed tick and event controllers
-    through their projections, checking the reconfiguration event is eligible
-    at both endpoints.
+    The problem keeps its source and target on the closed loop, which must be
+    the supervisor itself (``ValueError`` otherwise); the two path sets are
+    compared exactly.  Each solution is additionally replayed inside the
+    composed tick and event controllers through their projections, from the
+    shortest string reaching the source, checking the reconfiguration event
+    is eligible at both endpoints.
     """
     sigma_r = problem.reconfig_event
     ev = pkg.supervisor.events
@@ -332,8 +323,8 @@ def verify_solution_equivalence(pkg: DecentralizationPackage, loc: LocalizedSupe
     if not central.solvable:
         raise ValueError("problem is unsolvable on the centralized supervisor")
 
-    dec_problem, source_witness = _transported(pkg, loc, problem)
-    decentralized = trs(dec_problem)
+    decentralized = trs(_transported(pkg, loc, problem))
+    source_witness = state_witness(pkg.supervisor.automaton, problem.source)
 
     central_set = frozenset(central.paths)
     dec_set = frozenset(decentralized.paths)
@@ -341,7 +332,6 @@ def verify_solution_equivalence(pkg: DecentralizationPackage, loc: LocalizedSupe
     replay_c = _replay_side(loc.loc_c, source_witness, central_set, sigma_r)
     return SolutionEquivalenceReport(
         central_set, dec_set, central_set == dec_set,
-        dec_problem.source, dec_problem.target,
         sigma_r in loc.loc_p.alphabet, sigma_r in loc.loc_c.alphabet,
         replay_p, replay_c, loc.used_fallback)
 
@@ -352,7 +342,8 @@ def verify_projection_commutativity_decentralized(
     """Tick-projection commutativity, run on the closed loop under ``loc``.
 
     Reuses the centralized machinery with the decentralized closed loop
-    substituted for the supervisor, transporting source and target along
-    their witness strings.
+    substituted for the supervisor; the closed loop must be the supervisor
+    itself (``ValueError`` otherwise), so the problem keeps its source and
+    target.
     """
-    return verify_projection_commutativity(_transported(pkg, loc, problem)[0])
+    return verify_projection_commutativity(_transported(pkg, loc, problem))

@@ -251,7 +251,7 @@ def parse_model(text: str) -> ModelFile:
                 continue
             transitions[(src, evt)] = dst
             alphabet.add(evt)
-        if not (0 <= b.initial < b.n_states):
+        if b.n_states and not (0 <= b.initial < b.n_states):
             err(b.line, f"initial state out of range for block {b.name!r}")
             bad = True
         for m in b.marked:

@@ -250,6 +250,18 @@ class TestVerifyDecentralized:
         assert "solution sets identical: yes" in out
         assert "tick-projection commutativity" in out
 
+    def test_event_not_prohibitible_and_forcible_is_one_error(self, model_path, capsys):
+        # 32 is uncontrollable; verify_solution_equivalence decides this alone.
+        rc = main(["verify-decentralized", model_path,
+                   "--components", "M1", "M2", "--reconfig", "R",
+                   "--spec", "SPEC", "--reconfig-event", "91",
+                   "--from", "83", "--to", "516", "--event", "32"])
+        assert rc == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: reconfiguration event 32 must be declared both "
+                                "prohibitible and forcible for decentralized solving\n")
+
 
 class TestPipelineStagesOnce:
     @pytest.mark.parametrize("command, problem", [
@@ -292,6 +304,18 @@ class TestExportDot:
         out = capsys.readouterr().out
         assert "digraph M1" in out
         assert "doublecircle" in out
+
+    def test_empty_supervisor_round_trips(self, tmp_path, capsys):
+        # A spec that marks nothing leaves no admissible behavior: supcon
+        # writes a zero-state block, which export-dot reads back.
+        model = tmp_path / "dead.tdes"
+        model.write_text(small_factory_text() + "spec DEAD\n  states 1\n  initial 0\n")
+        out = str(tmp_path / "sup.tdes")
+        assert main(["supcon", str(model), "--plant", "M1", "--spec", "DEAD",
+                     "-o", out]) == EXIT_OK
+        assert "supervisor: 0 states" in capsys.readouterr().out
+        assert main(["export-dot", out, "--block", "SUP"]) == EXIT_OK
+        assert "digraph SUP" in capsys.readouterr().out
 
 
 class TestLibraryErrors:

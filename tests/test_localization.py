@@ -205,6 +205,45 @@ class TestTimedLocalize:
         with pytest.raises(ValueError, match="initial state"):
             timed_localize(DecentralizationPackage(pkg.plant, swapped, pkg.event_list))
 
+    def test_supervisor_alphabet_beyond_the_plant_rejected(self, factory_ttg,
+                                                           factory_supervisor):
+        gen = factory_supervisor.automaton
+        wider = dataclasses.replace(gen, alphabet=gen.alphabet | {99})
+        sup = dataclasses.replace(factory_supervisor, automaton=wider)
+        pkg = DecentralizationPackage(factory_ttg, sup, default_event_list(factory_supervisor))
+        with pytest.raises(ValueError, match="alphabet differs from the plant"):
+            timed_localize(pkg)
+
+    def test_supervisor_out_of_bfs_order_rejected(self, factory_ttg, factory_supervisor):
+        # States and record permuted alike still track the plant; only the
+        # numbering is off.
+        sup = factory_supervisor
+        gen = sup.automaton
+        new = [0] + list(range(gen.n_states - 1, 0, -1))  # new[old]
+        old = sorted(range(gen.n_states), key=new.__getitem__)  # old[new]
+        permuted = Generator(gen.n_states, gen.alphabet,
+                             {(new[s], e): new[t] for (s, e), t in gen.transitions.items()},
+                             new[gen.initial], frozenset(new[q] for q in gen.marked))
+        shuffled = Supervisor(permuted, sup.events,
+                              tuple(sup.plant_states[q] for q in old),
+                              tuple(sup.disabled[q] for q in old),
+                              tuple(sup.tick_preempted[q] for q in old))
+        pkg = DecentralizationPackage(factory_ttg, shuffled, default_event_list(sup))
+        with pytest.raises(ValueError, match="not numbered in BFS order"):
+            timed_localize(pkg)
+
+    def test_marked_state_over_unmarked_plant_state_rejected(self, factory_ttg,
+                                                             factory_supervisor):
+        sup = factory_supervisor
+        gen = sup.automaton
+        x = next(x for x, p in enumerate(sup.plant_states)
+                 if p not in factory_ttg.generator.marked)
+        marked = dataclasses.replace(gen, marked=gen.marked | {x})
+        pkg = DecentralizationPackage(factory_ttg, dataclasses.replace(sup, automaton=marked),
+                                      default_event_list(sup))
+        with pytest.raises(ValueError, match=f"marked supervisor state {x} tracks unmarked"):
+            timed_localize(pkg)
+
     def test_alphabet_unions(self):
         rng = random.Random(52)
         while True:
@@ -326,6 +365,40 @@ class TestSolutionEquivalence:
                                       g.initial, g.marked)
             assert language_equal(pad(loop.automaton), pad(sup_gen))
             done += 1
+
+
+class TestGeneratorEquality:
+    @pytest.fixture()
+    def counting_ticks(self, factory_ttg, factory_supervisor):
+        """The factory localization with a tick-parity counter composed in.
+
+        The counter is all-marked and blocks nothing, so the closed loop keeps
+        the supervisor's languages but holds more states.
+        """
+        pkg = DecentralizationPackage(factory_ttg, factory_supervisor,
+                                      default_event_list(factory_supervisor))
+        loc = timed_localize(pkg)
+        gen = loc.tdrs
+        assert TICK in gen.alphabet
+        parity = Generator(2, gen.alphabet,
+                           {(q, e): (1 - q if e == TICK else q)
+                            for q in (0, 1) for e in gen.alphabet},
+                           0, frozenset({0, 1}))
+        return pkg, dataclasses.replace(loc, tdrs=sync_product([gen, parity]))
+
+    def test_language_equal_is_not_enough(self, counting_ticks):
+        pkg, loc = counting_ticks
+        loop = decentralized_closed_loop(pkg, loc).automaton
+        assert language_equal(loop, pkg.supervisor.automaton)
+        assert loop.n_states > pkg.supervisor.n_states
+        assert not verify_localization(pkg, loc)
+
+    def test_decentralized_verifiers_refuse_it(self, counting_ticks, factory_problem):
+        pkg, loc = counting_ticks
+        with pytest.raises(ValueError, match="closed loop differs from the supervisor"):
+            verify_solution_equivalence(pkg, loc, factory_problem)
+        with pytest.raises(ValueError, match="closed loop differs from the supervisor"):
+            verify_projection_commutativity_decentralized(pkg, loc, factory_problem)
 
 
 class TestDecentralizedCommutativity:

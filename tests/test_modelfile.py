@@ -1,10 +1,14 @@
 """Model file parsing, diagnostics, and round-tripping."""
 
+import random
+
 import pytest
 
+from tdesrec.automata import Generator
 from tdesrec.events import PROHIBITIBLE, TICK
 from tdesrec.fixtures import small_factory_text
-from tdesrec.modelfile import ModelError, parse_model, render_model
+from tdesrec.modelfile import ModelError, ModelFile, parse_model, render_model
+from util import random_event_table
 
 GOOD = """\
 events
@@ -103,12 +107,36 @@ class TestRoundTrip:
         assert list(again.events) == list(model.events)
 
     def test_alphabet_directive_round_trips(self):
-        from tdesrec.automata import Generator
-        from tdesrec.modelfile import ModelFile
-
         model = parse_model(GOOD)
         gen = Generator(1, frozenset({11, 12, TICK}), {(0, 11): 0}, 0,
                         frozenset({0}))
         out = ModelFile(model.events, {}, {"X": gen})
         again = parse_model(render_model(out))
         assert again.specs["X"].alphabet == gen.alphabet
+
+    def test_random_models_round_trip(self):
+        # Empty generators (any initial), events only in an alphabet, and
+        # tick in specs are the corners render and parse must both cover.
+        rng = random.Random(2026)
+
+        def block(labels):
+            n = rng.choice([0, 0, 1, 2, 3, 4])
+            alphabet = frozenset(e for e in labels if rng.random() < 0.6)
+            if n == 0:
+                return Generator(0, alphabet, {}, rng.randrange(3))
+            transitions = {(q, e): rng.randrange(n)
+                           for q in range(n) for e in sorted(alphabet) if rng.random() < 0.4}
+            marked = frozenset(q for q in range(n) if rng.random() < 0.5)
+            return Generator(n, alphabet, transitions, rng.randrange(n), marked)
+
+        for _ in range(3000):
+            labels = tuple(sorted(rng.sample(range(1, 40), rng.randint(0, 5))))
+            events = random_event_table(rng, labels)
+            names = iter(f"B{i}" for i in range(10))
+            atgs = {next(names): block(labels) for _ in range(rng.randint(0, 2))}
+            specs = {next(names): block(labels + (TICK,)) for _ in range(rng.randint(0, 2))}
+            model = ModelFile(events, atgs, specs)
+            again = parse_model(render_model(model))
+            assert again.atgs == model.atgs
+            assert again.specs == model.specs
+            assert list(again.events) == list(model.events)
