@@ -22,7 +22,6 @@ from .localization import (
     default_event_list,
     timed_localize,
     verify_localization,
-    verify_projection_commutativity_decentralized,
     verify_solution_equivalence,
 )
 from .solver import (
@@ -41,6 +40,6 @@ from .synthesis import (
     supcon,
     synthesize_tcrs,
 )
-from .timed import TimedGenerator, TimedState, eligible, timed_graph
+from .timed import TimedGenerator, TimedState, timed_graph
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
-from .events import TICK, event_name
+from .events import event_name
 
 
 @dataclass(frozen=True)
@@ -73,10 +73,6 @@ class Generator:
                 return None
             q = nxt
         return q
-
-    def accepts(self, string: Iterable[int]) -> bool:
-        q = self.run(string)
-        return q is not None and q in self.marked
 
     def out_edges(self) -> list[list[tuple[int, int]]]:
         """Per-state sorted list of (event, target) pairs."""

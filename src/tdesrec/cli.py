@@ -19,7 +19,6 @@ from .localization import (
     DecentralizationPackage,
     default_event_list,
     timed_localize,
-    verify_projection_commutativity_decentralized,
     verify_solution_equivalence,
 )
 from .modelfile import ModelError, ModelFile, parse_model, render_model
@@ -244,7 +243,9 @@ def cmd_verify_decentralized(args) -> int:
     for line in report.describe():
         print(line)
     print("-- tick-projection commutativity on the decentralized supervisor --")
-    commutativity = verify_projection_commutativity_decentralized(pkg, loc, problem)
+    # The equivalence report has refused a closed loop that is not the
+    # supervisor, so the centralized report is the decentralized one.
+    commutativity = verify_projection_commutativity(problem)
     for line in commutativity.describe():
         print(line)
     return EXIT_OK

@@ -20,9 +20,10 @@ the supervisor itself, the same generator state for state; if the greedy
 construction does not reach it, the trivial localization (every controller a
 full supervisor copy) is used instead, which reaches it by construction.
 
-Both decentralized verifiers take the ``LocalizedSupervisor`` of the package,
-so one ``timed_localize`` call serves both, and pose the problem on the
-closed loop with its own source and target.
+``verify_solution_equivalence`` checks that identity once and solves once:
+``trs`` depends only on the generator and the event table, so on a closed
+loop equal to the supervisor the decentralized solutions are the centralized
+ones.
 """
 
 from __future__ import annotations
@@ -32,15 +33,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .automata import (Generator, _bfs_parents, _numbered, _quotient, _refine, _successors,
                        renumber_bfs, sync_product)
-from .events import TICK, EventTable, event_name
-from .solver import (
-    CommutativityReport,
-    Path,
-    ReconfigProblem,
-    state_witness,
-    trs,
-    verify_projection_commutativity,
-)
+from .events import TICK, event_name
+from .solver import Path, ReconfigProblem, state_witness, trs
 from .synthesis import Supervisor
 from .timed import TimedGenerator
 
@@ -57,11 +51,6 @@ class DecentralizationPackage:
         if not self.event_list <= self.supervisor.automaton.alphabet:
             extra = sorted(self.event_list - self.supervisor.automaton.alphabet)
             raise ValueError(f"event list exceeds the supervisor alphabet: {extra}")
-
-    @property
-    def tcrs(self) -> Supervisor:
-        """The package projection onto its supervisor component."""
-        return self.supervisor
 
 
 def default_event_list(supervisor: Supervisor) -> frozenset[int]:
@@ -86,14 +75,6 @@ class LocalizedSupervisor:
     loc_c: Generator
     tdrs: Generator
     used_fallback: bool
-
-    @property
-    def tick_alphabet(self) -> frozenset[int]:
-        return self.loc_p.alphabet
-
-    @property
-    def event_alphabet(self) -> frozenset[int]:
-        return self.loc_c.alphabet
 
 
 def _neutral_generator() -> Generator:
@@ -242,22 +223,14 @@ def decentralized_closed_loop(pkg: DecentralizationPackage,
     return Supervisor.from_generator(gen, pkg.supervisor.events)
 
 
-def _transported(pkg: DecentralizationPackage, loc: LocalizedSupervisor,
-                 problem: ReconfigProblem) -> ReconfigProblem:
-    """The problem posed on the decentralized closed loop, with its own states.
-
-    Raises ``ValueError`` unless the closed loop is the supervisor, which is
-    what makes the problem's source and target its states too.
-    """
-    closed_loop = decentralized_closed_loop(pkg, loc)
-    if closed_loop.automaton != pkg.supervisor.automaton:
-        raise ValueError("decentralized closed loop differs from the supervisor")
-    return ReconfigProblem(closed_loop, problem.source, problem.target, problem.reconfig_event)
-
-
 @dataclass(frozen=True)
 class SolutionEquivalenceReport:
-    """Outcome of comparing centralized and decentralized solving."""
+    """Outcome of comparing centralized and decentralized solving.
+
+    ``decentralized`` and ``equal`` follow from the defining identity: a
+    report exists only for a closed loop equal to the supervisor, on which
+    the decentralized solutions are the centralized ones.
+    """
 
     centralized: frozenset[Path]
     decentralized: frozenset[Path]
@@ -304,14 +277,15 @@ def _replay_side(side: Generator, start_witness: Path, paths: frozenset[Path],
 
 def verify_solution_equivalence(pkg: DecentralizationPackage, loc: LocalizedSupervisor,
                                 problem: ReconfigProblem) -> SolutionEquivalenceReport:
-    """Solve the problem centrally and on the closed loop under ``loc``.
+    """Solve the problem once, and check that the closed loop under ``loc`` is the supervisor.
 
-    The problem keeps its source and target on the closed loop, which must be
-    the supervisor itself (``ValueError`` otherwise); the two path sets are
-    compared exactly.  Each solution is additionally replayed inside the
-    composed tick and event controllers through their projections, from the
-    shortest string reaching the source, checking the reconfiguration event
-    is eligible at both endpoints.
+    ``trs`` depends only on the generator, its event table and the problem, so
+    once the closed loop equals the supervisor (``ValueError`` otherwise) the
+    decentralized solutions are the centralized ones: ``decentralized`` and
+    ``equal`` follow from that identity, with no second solve.  Each solution
+    is additionally replayed inside the composed tick and event controllers
+    through their projections, from the shortest string reaching the source,
+    checking the reconfiguration event is eligible at both endpoints.
     """
     sigma_r = problem.reconfig_event
     ev = pkg.supervisor.events
@@ -323,27 +297,15 @@ def verify_solution_equivalence(pkg: DecentralizationPackage, loc: LocalizedSupe
     if not central.solvable:
         raise ValueError("problem is unsolvable on the centralized supervisor")
 
-    decentralized = trs(_transported(pkg, loc, problem))
+    if not verify_localization(pkg, loc):
+        raise ValueError("decentralized closed loop differs from the supervisor")
     source_witness = state_witness(pkg.supervisor.automaton, problem.source)
 
     central_set = frozenset(central.paths)
-    dec_set = frozenset(decentralized.paths)
     replay_p = _replay_side(loc.loc_p, source_witness, central_set, sigma_r)
     replay_c = _replay_side(loc.loc_c, source_witness, central_set, sigma_r)
     return SolutionEquivalenceReport(
-        central_set, dec_set, central_set == dec_set,
+        central_set, central_set, True,
         sigma_r in loc.loc_p.alphabet, sigma_r in loc.loc_c.alphabet,
         replay_p, replay_c, loc.used_fallback)
 
-
-def verify_projection_commutativity_decentralized(
-        pkg: DecentralizationPackage, loc: LocalizedSupervisor,
-        problem: ReconfigProblem) -> CommutativityReport:
-    """Tick-projection commutativity, run on the closed loop under ``loc``.
-
-    Reuses the centralized machinery with the decentralized closed loop
-    substituted for the supervisor; the closed loop must be the supervisor
-    itself (``ValueError`` otherwise), so the problem keeps its source and
-    target.
-    """
-    return verify_projection_commutativity(_transported(pkg, loc, problem))

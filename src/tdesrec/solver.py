@@ -80,10 +80,6 @@ class ForciblePathSet:
     def tick_count(path: Path) -> int:
         return sum(1 for e in path if e == TICK)
 
-    def serialize(self) -> str:
-        """One line per path: comma-separated labels, tick as the literal token."""
-        return "\n".join(",".join(event_name(e) for e in p) for p in self.paths)
-
     def to_json(self) -> str:
         payload = {
             "source": self.source,

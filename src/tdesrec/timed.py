@@ -146,9 +146,3 @@ def timed_graph(atg: Generator, events: EventTable,
     gen = Generator(len(states), frozenset(labels) | {TICK}, transitions, 0, marked)
     return TimedGenerator(gen, events, timed_states)
 
-
-def eligible(ttg: TimedGenerator, state: int) -> frozenset[int]:
-    """Events with a defined transition at ``state`` of the timed graph."""
-    if not (0 <= state < ttg.n_states):
-        raise ValueError(f"unknown state {state}")
-    return ttg.generator.eligible(state)

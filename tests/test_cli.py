@@ -264,19 +264,25 @@ class TestVerifyDecentralized:
 
 
 class TestPipelineStagesOnce:
-    @pytest.mark.parametrize("command, problem", [
-        ("localize", []),
-        ("verify-decentralized", ["--from", "83", "--to", "516", "--event", "91"]),
+    # verify-decentralized checks the closed loop inside timed_localize and
+    # again in verify_solution_equivalence; it solves once there and twice in
+    # the commutativity report.
+    @pytest.mark.parametrize("command, problem, loops, solves", [
+        ("localize", [], 1, 0),
+        ("verify-decentralized", ["--from", "83", "--to", "516", "--event", "91"], 2, 3),
     ], ids=["localize", "verify-decentralized"])
     def test_plant_built_and_localized_once(self, monkeypatch, model_path, capsys,
-                                            command, problem):
+                                            command, problem, loops, solves):
         import sys
 
-        from tdesrec.localization import timed_localize, verify_localization
+        from tdesrec.localization import (decentralized_closed_loop, timed_localize,
+                                          verify_localization)
+        from tdesrec.solver import trs
         from tdesrec.synthesis import mode_timed_graph
 
         calls = {}
-        for fn in (mode_timed_graph, timed_localize, verify_localization):
+        for fn in (mode_timed_graph, timed_localize, verify_localization,
+                   decentralized_closed_loop, trs):
             calls[fn.__name__] = 0
 
             def counted(*args, _fn=fn, **kwargs):
@@ -294,7 +300,8 @@ class TestPipelineStagesOnce:
                    *problem])
         assert rc == EXIT_OK
         assert calls == {"mode_timed_graph": 1, "timed_localize": 1,
-                         "verify_localization": 1}
+                         "verify_localization": loops,
+                         "decentralized_closed_loop": loops, "trs": solves}
 
 
 class TestExportDot:

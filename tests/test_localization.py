@@ -1,6 +1,7 @@
 """Decentralization: controller construction, the defining identity, transport."""
 
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -21,10 +22,9 @@ from tdesrec.localization import (
     default_event_list,
     timed_localize,
     verify_localization,
-    verify_projection_commutativity_decentralized,
     verify_solution_equivalence,
 )
-from tdesrec.solver import ReconfigProblem, trs
+from tdesrec.solver import ReconfigProblem, trs, verify_projection_commutativity
 from tdesrec.synthesis import Supervisor, supcon
 from tdesrec.timed import timed_graph
 from util import OraclePartition, random_pipeline_supervisor, sample_problems
@@ -40,11 +40,11 @@ def single_loop_package():
     return DecentralizationPackage(ttg, sup, frozenset({5}))
 
 
-def random_package(rng):
+def random_package(rng, max_events=4, max_states=None):
     out = random_pipeline_supervisor(
-        rng, max_activities=5, max_events=4, density=0.6, forcible_p=0.6,
+        rng, max_activities=5, max_events=max_events, density=0.6, forcible_p=0.6,
         full_alphabet_spec=rng.random() < 0.5)
-    if out is None:
+    if out is None or (max_states is not None and out[0].n_states > max_states):
         return None
     sup, ttg = out
     ev = default_event_list(sup)
@@ -58,10 +58,6 @@ class TestPackage:
         pkg = single_loop_package()
         with pytest.raises(ValueError, match="exceeds"):
             DecentralizationPackage(pkg.plant, pkg.supervisor, frozenset({99}))
-
-    def test_projection_returns_supervisor_unchanged(self):
-        pkg = single_loop_package()
-        assert pkg.tcrs is pkg.supervisor
 
 
 class TestRefine:
@@ -251,12 +247,10 @@ class TestTimedLocalize:
             if pkg is None:
                 continue
             loc = timed_localize(pkg)
-            assert loc.tick_alphabet == frozenset().union(
-                *(g.alphabet for g in loc.tick_controllers.values())) \
-                if loc.tick_controllers else loc.tick_alphabet == frozenset()
-            assert loc.event_alphabet == frozenset().union(
-                *(g.alphabet for g in loc.event_controllers.values())) \
-                if loc.event_controllers else loc.event_alphabet == frozenset()
+            assert loc.loc_p.alphabet == frozenset().union(
+                *(g.alphabet for g in loc.tick_controllers.values()))
+            assert loc.loc_c.alphabet == frozenset().union(
+                *(g.alphabet for g in loc.event_controllers.values()))
             break
 
 
@@ -341,8 +335,14 @@ class TestSolutionEquivalence:
                 problem = ReconfigProblem(sup, q_s, q_r, e)
                 if not trs(problem).solvable:
                     continue
-                report = verify_solution_equivalence(pkg, timed_localize(pkg), problem)
+                loc = timed_localize(pkg)
+                report = verify_solution_equivalence(pkg, loc, problem)
                 assert report.equal, report.describe()
+                # The rerun the report derives from the identity, as a
+                # differential check: solving on the closed loop itself.
+                loop = decentralized_closed_loop(pkg, loc)
+                rerun = trs(ReconfigProblem(loop, q_s, q_r, e))
+                assert frozenset(rerun.paths) == report.centralized
                 assert report.sigma_r_in_tick_alphabet
                 assert report.sigma_r_in_event_alphabet
                 assert report.replay_ok_tick_side
@@ -397,8 +397,6 @@ class TestGeneratorEquality:
         pkg, loc = counting_ticks
         with pytest.raises(ValueError, match="closed loop differs from the supervisor"):
             verify_solution_equivalence(pkg, loc, factory_problem)
-        with pytest.raises(ValueError, match="closed loop differs from the supervisor"):
-            verify_projection_commutativity_decentralized(pkg, loc, factory_problem)
 
 
 class TestDecentralizedCommutativity:
@@ -414,14 +412,55 @@ class TestDecentralizedCommutativity:
                 problem = ReconfigProblem(sup, q_s, q_r, e)
                 if not trs(problem).solvable:
                     continue
-                from tdesrec.solver import verify_projection_commutativity
-
                 central = verify_projection_commutativity(problem)
-                dec = verify_projection_commutativity_decentralized(
-                    pkg, timed_localize(pkg), problem)
-                # The closed loop is state-faithful to the supervisor, so the
-                # decentralized report mirrors the centralized one.
-                assert dec.timed_projected == central.timed_projected
-                assert dec.equal == central.equal
+                loop = decentralized_closed_loop(pkg, timed_localize(pkg))
+                dec = verify_projection_commutativity(ReconfigProblem(loop, q_s, q_r, e))
+                # The closed loop is the supervisor, so the decentralized
+                # report mirrors the centralized one in every field but the
+                # wall times.
+                untimed = lambda r: {f.name: getattr(r, f.name)
+                                     for f in dataclasses.fields(r)
+                                     if not f.name.startswith("seconds_")}
+                assert untimed(dec) == untimed(central)
                 done += 1
                 break
+
+
+class TestEveryDistribution:
+    def test_identity_and_solutions_under_every_event_sub_list(self):
+        # The solutions do not depend on how the decisions are distributed:
+        # under every nonempty sub-list of the default event list (greedy or
+        # fallback) the closed loop is the supervisor, and solving on it gives
+        # the centralized solutions.  Criterion-7 package settings.
+        rng = random.Random(2026)
+        packages = localizations = fallbacks = compared = 0
+        while packages < 150:
+            pkg = random_package(rng, max_events=5, max_states=60)
+            if pkg is None:
+                continue
+            sup = pkg.supervisor
+            solved = None
+            for (q_s, q_r, e) in sample_problems(rng, sup, 12):
+                try:
+                    central = trs(ReconfigProblem(sup, q_s, q_r, e), max_nodes=200_000)
+                except ValueError:
+                    continue
+                if central.solvable:
+                    solved = (q_s, q_r, e, central.paths)
+                    break
+            events = sorted(pkg.event_list)
+            for size in range(1, len(events) + 1):
+                for sub in itertools.combinations(events, size):
+                    sub_pkg = DecentralizationPackage(pkg.plant, sup, frozenset(sub))
+                    loc = timed_localize(sub_pkg)
+                    assert verify_localization(sub_pkg, loc), sub
+                    localizations += 1
+                    fallbacks += loc.used_fallback
+                    if solved is not None:
+                        q_s, q_r, e, paths = solved
+                        loop = decentralized_closed_loop(sub_pkg, loc)
+                        assert trs(ReconfigProblem(loop, q_s, q_r, e)).paths == paths, sub
+                        compared += 1
+            packages += 1
+        print(f"{packages} packages: {localizations} localizations, {fallbacks} fallbacks, "
+              f"{compared} closed-loop solutions compared")

@@ -381,10 +381,6 @@ class TestSelectOptimal:
 
 
 class TestSerialization:
-    def test_lines_with_tick_token(self):
-        ps = ForciblePathSet(0, 1, A, ((TICK, A), (B,)), frozenset({0, 1}), True)
-        assert ps.serialize() == "tick,5\n7"
-
     def test_json_export(self):
         ps = ForciblePathSet(0, 1, A, ((TICK, A),), frozenset({0, 1}), True)
         payload = json.loads(ps.to_json())

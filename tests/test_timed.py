@@ -6,7 +6,7 @@ import pytest
 
 from tdesrec.automata import Generator, bounded_language
 from tdesrec.events import PROHIBITIBLE, TICK, UNCONTROLLABLE, EventDef, EventTable
-from tdesrec.timed import TimedGenerator, eligible, timed_graph
+from tdesrec.timed import TimedGenerator, timed_graph
 from util import (check_bound_soundness, check_deadline_soundness,
                   check_remote_liveness, oracle_timed_graph, random_atg)
 
@@ -64,14 +64,6 @@ class TestTimedGraphSmall:
         events = EventTable([EventDef(5, UNCONTROLLABLE, lower=2, upper=None)])
         with pytest.raises(ValueError, match="exceeds"):
             timed_graph(one_loop_atg(5), events, max_states=2)
-
-    def test_eligible_accessor(self):
-        events = EventTable([EventDef(5, UNCONTROLLABLE, lower=1, upper=1)])
-        ttg = timed_graph(one_loop_atg(5), events)
-        assert eligible(ttg, 0) == {TICK}
-        assert eligible(ttg, 1) == {5}
-        with pytest.raises(ValueError, match="unknown state"):
-            eligible(ttg, 99)
 
     def test_timer_kept_only_while_enabled(self):
         # Event 7 is enabled at both activities, event 5 moves between them;

@@ -588,9 +588,12 @@ def oracle_paths(sup: Supervisor, source: int, target: int) -> set[tuple[int, ..
     """
     gen = sup.automaton
     events = sup.events
+    # Whether a step qualifies depends on the step alone, so each transition
+    # is judged once, before the walk.
     adj: dict[int, list[tuple[int, int]]] = {}
     for (s, e), t in gen.transitions.items():
-        adj.setdefault(s, []).append((e, t))
+        if _edge_ok_oracle(gen, events, s, e, t):
+            adj.setdefault(s, []).append((e, t))
     for lst in adj.values():
         lst.sort()
     found: set[tuple[int, ...]] = set()
@@ -602,8 +605,6 @@ def oracle_paths(sup: Supervisor, source: int, target: int) -> set[tuple[int, ..
             found.add(tuple(path))
         for ev, dst in adj.get(state, ()):
             if dst in visited:
-                continue
-            if not _edge_ok_oracle(gen, events, state, ev, dst):
                 continue
             visited.add(dst)
             path.append(ev)
