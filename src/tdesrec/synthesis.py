@@ -222,15 +222,21 @@ def synthesize_tcrs(component_atgs: Sequence[Generator], reconfig_spec: Generato
     Declared reconfiguration events must appear in the reconfiguration spec
     and be prohibitible.
     """
-    return _synthesize_with_plant(component_atgs, reconfig_spec, behavioral_spec,
-                                  events, reconfig_events, max_states)[1]
+    supervisor = _synthesize_with_plant(component_atgs, reconfig_spec, behavioral_spec,
+                                        events, reconfig_events, max_states)[1]
+    if supervisor.is_empty:
+        warnings.warn("no admissible behavior", stacklevel=2)
+    return supervisor
 
 
 def _synthesize_with_plant(component_atgs: Sequence[Generator], reconfig_spec: Generator,
                            behavioral_spec: Generator, events: EventTable,
                            reconfig_events: Sequence[int],
                            max_states: int) -> tuple[TimedGenerator, Supervisor]:
-    """The ``synthesize_tcrs`` pipeline, also returning its plant, the mode timed graph."""
+    """The ``synthesize_tcrs`` pipeline, also returning its plant, the mode timed graph.
+
+    It does not warn on an empty supervisor; the caller reports that itself.
+    """
     for e in reconfig_events:
         if e not in reconfig_spec.alphabet:
             raise ValueError(f"reconfiguration event {e} missing from the reconfiguration spec")
@@ -240,10 +246,7 @@ def _synthesize_with_plant(component_atgs: Sequence[Generator], reconfig_spec: G
             raise ValueError(f"reconfiguration event {e} must be prohibitible")
     mode_ttg = mode_timed_graph(component_atgs, reconfig_spec, events, max_states)
     lifted = sync_product([allevents(mode_ttg.generator), behavioral_spec])
-    supervisor = supcon(mode_ttg, lifted, events)
-    if supervisor.is_empty:
-        warnings.warn("no admissible behavior", stacklevel=3)  # the public caller
-    return mode_ttg, supervisor
+    return mode_ttg, supcon(mode_ttg, lifted, events)
 
 
 __all__ = [

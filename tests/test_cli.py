@@ -264,25 +264,28 @@ class TestVerifyDecentralized:
 
 
 class TestPipelineStagesOnce:
-    # verify-decentralized checks the closed loop inside timed_localize and
-    # again in verify_solution_equivalence; it solves once there and twice in
-    # the commutativity report.
-    @pytest.mark.parametrize("command, problem, loops, solves", [
-        ("localize", [], 1, 0),
-        ("verify-decentralized", ["--from", "83", "--to", "516", "--event", "91"], 2, 3),
+    # Synthesis composes twice (the mode plant, the lifted spec), localization
+    # once (all controllers), and each closed loop once.  verify-decentralized
+    # checks the closed loop inside timed_localize and again in
+    # verify_solution_equivalence; it solves once there and twice in the
+    # commutativity report, and replays nothing from a witness.
+    @pytest.mark.parametrize("command, problem, loops, solves, products", [
+        ("localize", [], 1, 0, 4),
+        ("verify-decentralized", ["--from", "83", "--to", "516", "--event", "91"], 2, 3, 5),
     ], ids=["localize", "verify-decentralized"])
     def test_plant_built_and_localized_once(self, monkeypatch, model_path, capsys,
-                                            command, problem, loops, solves):
+                                            command, problem, loops, solves, products):
         import sys
 
+        from tdesrec.automata import sync_product
         from tdesrec.localization import (decentralized_closed_loop, timed_localize,
                                           verify_localization)
-        from tdesrec.solver import trs
+        from tdesrec.solver import state_witness, trs
         from tdesrec.synthesis import mode_timed_graph
 
         calls = {}
         for fn in (mode_timed_graph, timed_localize, verify_localization,
-                   decentralized_closed_loop, trs):
+                   decentralized_closed_loop, trs, sync_product, state_witness):
             calls[fn.__name__] = 0
 
             def counted(*args, _fn=fn, **kwargs):
@@ -301,7 +304,8 @@ class TestPipelineStagesOnce:
         assert rc == EXIT_OK
         assert calls == {"mode_timed_graph": 1, "timed_localize": 1,
                          "verify_localization": loops,
-                         "decentralized_closed_loop": loops, "trs": solves}
+                         "decentralized_closed_loop": loops, "trs": solves,
+                         "sync_product": products, "state_witness": 0}
 
 
 class TestExportDot:
@@ -323,6 +327,29 @@ class TestExportDot:
         assert "supervisor: 0 states" in capsys.readouterr().out
         assert main(["export-dot", out, "--block", "SUP"]) == EXIT_OK
         assert "digraph SUP" in capsys.readouterr().out
+
+
+class TestEmptySupervisor:
+    @pytest.mark.parametrize("command, problem, rc, err", [
+        ("synth-tcrs", [], EXIT_OK, "warning: no admissible behavior\n"),
+        ("localize", [], EXIT_ERROR, "error: no admissible behavior; nothing to localize\n"),
+        ("verify-decentralized", ["--from", "0", "--to", "0", "--event", "91"], EXIT_ERROR,
+         "error: no admissible behavior\n"),
+    ], ids=["synth-tcrs", "localize", "verify-decentralized"])
+    def test_empty_supervisor_is_one_stderr_line(self, tmp_path, capsys, command, problem,
+                                                 rc, err):
+        # The command reports emptiness itself; the library's UserWarning,
+        # which Python would print with its source line, is not raised.
+        import warnings
+
+        model = tmp_path / "dead.tdes"
+        model.write_text(small_factory_text() + "spec DEAD\n  states 1\n  initial 0\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, str(model), "--components", "M1", "M2", "--reconfig", "R",
+                         "--spec", "DEAD", "--reconfig-event", "91", *problem]) == rc
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == err
 
 
 class TestLibraryErrors:

@@ -12,6 +12,7 @@ from tdesrec.automata import (
     allevents,
     language_equal,
     language_subset,
+    project,
     sync_product,
 )
 from tdesrec.events import PROHIBITIBLE, TICK, UNCONTROLLABLE, EventDef, EventTable
@@ -24,10 +25,12 @@ from tdesrec.localization import (
     verify_localization,
     verify_solution_equivalence,
 )
-from tdesrec.solver import ReconfigProblem, trs, verify_projection_commutativity
+from tdesrec.solver import (ReconfigProblem, state_witness, trs,
+                            verify_projection_commutativity)
 from tdesrec.synthesis import Supervisor, supcon
 from tdesrec.timed import timed_graph
-from util import OraclePartition, random_pipeline_supervisor, sample_problems
+from util import (OraclePartition, oracle_nested_tdrs, oracle_replay_side,
+                  random_pipeline_supervisor, sample_problems)
 
 
 def single_loop_package():
@@ -51,6 +54,21 @@ def random_package(rng, max_events=4, max_states=None):
     if not ev:
         return None
     return DecentralizationPackage(ttg, sup, ev)
+
+
+def assert_replay_is_membership(pkg, loc, problem):
+    """Each side of the report's flags against the replay of every solution
+    through that side's composed controllers, from the source's witness.
+
+    Returns the two flags.
+    """
+    report = verify_solution_equivalence(pkg, loc, problem)
+    witness = state_witness(pkg.supervisor.automaton, problem.source)
+    flags = (report.sigma_r_in_tick_alphabet, report.sigma_r_in_event_alphabet)
+    for controllers, flag in zip((loc.tick_controllers, loc.event_controllers), flags):
+        assert flag == oracle_replay_side(controllers, witness, report.centralized,
+                                          problem.reconfig_event)
+    return flags
 
 
 class TestPackage:
@@ -176,14 +194,17 @@ class TestTimedLocalize:
 
     @pytest.mark.parametrize("event_list", [None, {91}, {31, 91}, {13, 23}])
     def test_closed_loop_is_the_factory_supervisor(self, factory_ttg, factory_supervisor,
-                                                   event_list):
+                                                   factory_problem, event_list):
         # Greedy (default list, {31, 91}) or fallback ({91}, {13, 23}), the
         # plant under the controllers is the supervisor itself, state for
         # state and numbered alike (DECISIONS.md, "The closed loop is the
         # supervisor").
         ev = frozenset(event_list) if event_list else default_event_list(factory_supervisor)
-        loc = timed_localize(DecentralizationPackage(factory_ttg, factory_supervisor, ev))
+        pkg = DecentralizationPackage(factory_ttg, factory_supervisor, ev)
+        loc = timed_localize(pkg)
         assert sync_product([factory_ttg.generator, loc.tdrs]) == factory_supervisor.automaton
+        assert loc.tdrs == oracle_nested_tdrs(loc)
+        assert_replay_is_membership(pkg, loc, factory_problem)
 
     def test_supervisor_that_does_not_track_the_plant_rejected(self, factory_ttg,
                                                                factory_supervisor):
@@ -240,19 +261,6 @@ class TestTimedLocalize:
         with pytest.raises(ValueError, match=f"marked supervisor state {x} tracks unmarked"):
             timed_localize(pkg)
 
-    def test_alphabet_unions(self):
-        rng = random.Random(52)
-        while True:
-            pkg = random_package(rng)
-            if pkg is None:
-                continue
-            loc = timed_localize(pkg)
-            assert loc.loc_p.alphabet == frozenset().union(
-                *(g.alphabet for g in loc.tick_controllers.values()))
-            assert loc.loc_c.alphabet == frozenset().union(
-                *(g.alphabet for g in loc.event_controllers.values()))
-            break
-
 
 class TestTransport:
     def test_paths_transport_to_tdrs(self):
@@ -266,8 +274,6 @@ class TestTransport:
                 continue
             sup = pkg.supervisor
             loc = timed_localize(pkg)
-            from tdesrec.solver import state_witness
-
             found = False
             for (q_s, q_r, e) in sample_problems(rng, sup, 4):
                 res = trs(ReconfigProblem(sup, q_s, q_r, e))
@@ -296,8 +302,8 @@ class TestTransport:
                 continue
             loc = timed_localize(pkg)
             for e in both:
-                assert e in loc.loc_p.alphabet
-                assert e in loc.loc_c.alphabet
+                assert e in loc.tick_controllers[e].alphabet
+                assert e in loc.event_controllers[e].alphabet
             done += 1
 
 
@@ -337,7 +343,6 @@ class TestSolutionEquivalence:
                     continue
                 loc = timed_localize(pkg)
                 report = verify_solution_equivalence(pkg, loc, problem)
-                assert report.equal, report.describe()
                 # The rerun the report derives from the identity, as a
                 # differential check: solving on the closed loop itself.
                 loop = decentralized_closed_loop(pkg, loc)
@@ -345,10 +350,21 @@ class TestSolutionEquivalence:
                 assert frozenset(rerun.paths) == report.centralized
                 assert report.sigma_r_in_tick_alphabet
                 assert report.sigma_r_in_event_alphabet
-                assert report.replay_ok_tick_side
-                assert report.replay_ok_event_side
                 done += 1
                 break
+
+    def test_problem_on_another_supervisor_refused(self, factory_ttg, factory_supervisor):
+        # On the 419-state tick projection this problem has solutions, but
+        # they are not solutions on the package's 586-state supervisor, about
+        # which the identity speaks.
+        pkg = DecentralizationPackage(factory_ttg, factory_supervisor,
+                                      default_event_list(factory_supervisor))
+        projected = Supervisor.from_generator(project(factory_supervisor.automaton, {TICK}),
+                                              factory_supervisor.events)
+        problem = ReconfigProblem(projected, 6, 78, 91)
+        assert projected.n_states == 419 and trs(problem).solvable
+        with pytest.raises(ValueError, match="not posed on the package's supervisor"):
+            verify_solution_equivalence(pkg, timed_localize(pkg), problem)
 
     def test_closed_loop_matches_supervisor(self):
         rng = random.Random(56)
@@ -431,29 +447,47 @@ class TestEveryDistribution:
         # The solutions do not depend on how the decisions are distributed:
         # under every nonempty sub-list of the default event list (greedy or
         # fallback) the closed loop is the supervisor, and solving on it gives
-        # the centralized solutions.  Criterion-7 package settings.
+        # the centralized solutions.  The flat composition of the controllers
+        # is the composition of the two composed sides, and the report's
+        # alphabet flags are what the replay through each side finds.
+        # Criterion-7 package settings.
         rng = random.Random(2026)
-        packages = localizations = fallbacks = compared = 0
+        packages = localizations = fallbacks = compared = replayed = 0
+        flags = set()
         while packages < 150:
             pkg = random_package(rng, max_events=5, max_states=60)
             if pkg is None:
                 continue
             sup = pkg.supervisor
-            solved = None
+            ev = sup.events
+            # The first solvable problem of the draw, and the first whose
+            # event is also prohibitible and forcible; the draw consumes the
+            # same random numbers either way.
+            solved = decided = None
             for (q_s, q_r, e) in sample_problems(rng, sup, 12):
+                deciding = ev.is_prohibitible(e) and ev.is_forcible(e)
+                if solved is not None and not deciding:
+                    continue
+                problem = ReconfigProblem(sup, q_s, q_r, e)
                 try:
-                    central = trs(ReconfigProblem(sup, q_s, q_r, e), max_nodes=200_000)
+                    central = trs(problem, max_nodes=200_000)
                 except ValueError:
                     continue
                 if central.solvable:
-                    solved = (q_s, q_r, e, central.paths)
-                    break
+                    solved = solved or (q_s, q_r, e, central.paths)
+                    if deciding:
+                        decided = problem
+                        break
             events = sorted(pkg.event_list)
             for size in range(1, len(events) + 1):
                 for sub in itertools.combinations(events, size):
                     sub_pkg = DecentralizationPackage(pkg.plant, sup, frozenset(sub))
                     loc = timed_localize(sub_pkg)
                     assert verify_localization(sub_pkg, loc), sub
+                    assert loc.tdrs == oracle_nested_tdrs(loc), sub
+                    if decided is not None:
+                        flags.add(assert_replay_is_membership(sub_pkg, loc, decided))
+                        replayed += 1
                     localizations += 1
                     fallbacks += loc.used_fallback
                     if solved is not None:
@@ -463,4 +497,6 @@ class TestEveryDistribution:
                         compared += 1
             packages += 1
         print(f"{packages} packages: {localizations} localizations, {fallbacks} fallbacks, "
-              f"{compared} closed-loop solutions compared")
+              f"{compared} closed-loop solutions compared, {replayed} reports replayed")
+        # The replay is compared on both outcomes of each side.
+        assert flags == set(itertools.product((False, True), repeat=2))

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 from tdesrec.automata import (Generator, ProjectionDetail, _bfs_renumber, _minimal, _product,
                               bounded_language, coreachable_states, reachable_states,
-                              renumber_bfs)
+                              renumber_bfs, sync_product)
 from tdesrec.events import TICK, PROHIBITIBLE, UNCONTROLLABLE, EventDef, EventTable
 from tdesrec.solver import ReconfigProblem, _backtrackable_into
 from tdesrec.synthesis import Supervisor, _violation, supcon
@@ -553,6 +553,42 @@ def oracle_product_membership(components: list[Generator],
     ends = [c.run(tuple(e for e in string if e in c.alphabet)) for c in components]
     closed = all(q is not None for q in ends)
     return closed, closed and all(q in c.marked for q, c in zip(ends, components))
+
+
+def _oracle_side(controllers: Mapping[int, Generator]) -> Generator:
+    """One side's controllers composed, in key order; the one-state neutral
+    generator (no events, marked) when the side has none."""
+    if not controllers:
+        return Generator(1, frozenset(), {}, 0, frozenset({0}))
+    return sync_product([controllers[k] for k in sorted(controllers)])
+
+
+def oracle_nested_tdrs(loc) -> Generator:
+    """The decentralized supervisor as the composition of the two composed
+    sides, tick controllers then event controllers."""
+    return sync_product([_oracle_side(loc.tick_controllers),
+                         _oracle_side(loc.event_controllers)])
+
+
+def oracle_replay_side(controllers: Mapping[int, Generator], start_witness: tuple[int, ...],
+                       paths: Iterable[tuple[int, ...]], sigma_r: int) -> bool:
+    """Replay each path's projection onto one side's composed controllers.
+
+    The side runs the projection of ``start_witness``, then of each path from
+    there; the reconfiguration event must be eligible at every endpoint.
+    """
+    side = _oracle_side(controllers)
+    if sigma_r not in side.alphabet:
+        return False
+    restrict = lambda p: tuple(e for e in p if e in side.alphabet)
+    origin = side.run(restrict(start_witness))
+    if origin is None:
+        return False
+    for path in paths:
+        end = side.run(restrict(path), start=origin)
+        if end is None or side.target(end, sigma_r) is None:
+            return False
+    return True
 
 
 def oracle_state_witness(gen: Generator, state: int) -> tuple[int, ...] | None:
