@@ -3,7 +3,6 @@
 from .automata import (
     Generator,
     allevents,
-    bounded_language,
     is_nonblocking,
     language_equal,
     language_subset,

@@ -1,6 +1,6 @@
 """Finite deterministic generators and the language operations built on them.
 
-States are dense integer indices.  Every operation renumbers its result in
+States are dense integer indices.  Every operation numbers its result in
 BFS order from the initial state, so equal inputs give structurally equal
 outputs and published orderings are reproducible.
 
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .events import event_name
 
@@ -74,37 +74,39 @@ class Generator:
             q = nxt
         return q
 
-    def out_edges(self) -> list[list[tuple[int, int]]]:
-        """Per-state sorted list of (event, target) pairs."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n_states)]
+    def out_edges(self) -> list[dict[int, int]]:
+        """Per state, a map from each eligible event to its target, in ``transitions`` order.
+
+        This is the one adjacency every consumer of a generator reads.
+        """
+        adj: list[dict[int, int]] = [{} for _ in range(self.n_states)]
         for (src, ev), dst in self.transitions.items():
-            adj[src].append((ev, dst))
-        for lst in adj:
-            lst.sort()
+            adj[src][ev] = dst
         return adj
 
 
-def _bfs_parents(adj: Sequence[Iterable[tuple[int, int]]], initial: int
+def _bfs_parents(adj: Sequence[Mapping[int, int]], initial: int
                  ) -> dict[int, tuple[int, int] | None]:
     """BFS tree from ``initial`` over ``adj``, as a parent map in discovery order.
 
-    ``adj`` is shaped like ``Generator.out_edges()``: per state, its (event,
-    target) steps in event order.  Each reached state maps to the ``(parent,
-    event)`` step that discovered it, ``initial`` to None, so the branch to
-    each state spells the shortlex-least string reaching it.
+    ``adj`` is shaped like ``Generator.out_edges()``; each state's events are
+    taken in increasing order, which fixes every BFS numbering here.  Each
+    reached state maps to the ``(parent, event)`` step that discovered it,
+    ``initial`` to None, so the branch to each state spells the
+    shortlex-least string reaching it.
     """
     parents: dict[int, tuple[int, int] | None] = {initial: None}
     queue = deque([initial])
     while queue:
         q = queue.popleft()
-        for e, dst in adj[q]:
+        for e, dst in sorted(adj[q].items()):
             if dst not in parents:
                 parents[dst] = (q, e)
                 queue.append(dst)
     return parents
 
 
-def _bfs_renumber(g: Generator, adj: Sequence[Iterable[tuple[int, int]]]
+def _bfs_renumber(g: Generator, adj: Sequence[Mapping[int, int]]
                   ) -> tuple[Generator, dict[int, int]]:
     """The part of non-empty ``g`` that ``adj`` reaches, in BFS order, and its state map.
 
@@ -164,7 +166,7 @@ def trim(g: Generator) -> Generator:
     keep = coreachable_states(g)
     if g.initial not in keep:
         return Generator(0, g.alphabet, {}, 0, frozenset())
-    adj = [[(e, t) for e, t in edges if t in keep] if q in keep else []
+    adj = [{e: t for e, t in edges.items() if t in keep} if q in keep else {}
            for q, edges in enumerate(g.out_edges())]
     return _bfs_renumber(g, adj)[0]
 
@@ -293,7 +295,7 @@ def project_detail(g: Generator, erase: Iterable[int]) -> ProjectionDetail:
     start = closure[g.initial]
     index: dict[int, int] = {start: 0}
     subsets: list[int] = [start]
-    transitions: dict[tuple[int, int], int] = {}
+    adj: list[dict[int, int]] = []
     marked: set[int] = set()
     # ``subsets`` grows while it is walked, so it is the BFS queue.
     for sid, subset in enumerate(subsets):
@@ -303,17 +305,17 @@ def project_detail(g: Generator, erase: Iterable[int]) -> ProjectionDetail:
         for q in _members(subset):
             for e, mask in moves[q]:
                 targets[e] = targets.get(e, 0) | mask
+        adj.append({})
         for e in sorted(targets):
             key = targets[e]
             if key not in index:
                 index[key] = len(subsets)
                 subsets.append(key)
-            transitions[(sid, e)] = index[key]
-    gen = Generator(len(subsets), alphabet, transitions, 0, frozenset(marked))
-    # The construction is reachable by design, as _minimal requires; the
-    # minimal form preserves the closed language too, so blocking parts
-    # survive.  Merged states pool their source-state subsets.
-    final, to_final = _minimal(gen)
+            adj[sid][e] = index[key]
+    # The construction is reachable and in BFS order by design, as _minimal
+    # requires; the minimal form preserves the closed language too, so
+    # blocking parts survive.  Merged states pool their source-state subsets.
+    final, to_final = _minimal(adj, marked, alphabet)
     pooled = [0] * final.n_states
     for subset, q in zip(subsets, to_final):
         pooled[q] |= subset
@@ -349,14 +351,6 @@ def _members(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _successors(g: Generator) -> list[dict[int, int]]:
-    """Per-state map from each eligible event to its target."""
-    adj: list[dict[int, int]] = [{} for _ in range(g.n_states)]
-    for (src, ev), dst in g.transitions.items():
-        adj[src][ev] = dst
-    return adj
 
 
 def _numbered(keys: Iterable[Hashable]) -> list[int]:
@@ -423,32 +417,37 @@ def _refine(block: Iterable[Hashable], adj: Sequence[Mapping[int, int]],
             return _numbered(name)
 
 
-def _quotient(gen: Generator, block: Sequence[int]) -> Generator:
-    """Generator whose states are the blocks of a stable partition of ``gen``.
+def _quotient(adj: Sequence[Mapping[int, int]], block: Sequence[int],
+              marked: Iterable[int], alphabet: frozenset[int]) -> Generator:
+    """Generator whose states are the blocks of a stable partition.
 
-    ``block`` numbers the blocks densely from 0.  A block is marked when it
+    The partitioned generator is given by its ``adj`` (shaped like
+    ``Generator.out_edges()``), ``marked`` states and ``alphabet``, and starts
+    at state 0.  ``block`` numbers the blocks densely from 0 by first
+    appearance, so block 0 starts the quotient.  A block is marked when it
     contains a marked state.
     """
-    transitions = {(block[s], e): block[t] for (s, e), t in gen.transitions.items()}
-    marked = frozenset(block[s] for s in gen.marked)
-    return Generator(max(block) + 1, gen.alphabet, transitions, block[gen.initial], marked)
+    transitions = {(block[s], e): block[t] for s, succ in enumerate(adj) for e, t in succ.items()}
+    return Generator(max(block) + 1, alphabet, transitions, 0,
+                     frozenset(block[s] for s in marked))
 
 
-def _minimal(gen: Generator) -> tuple[Generator, list[int]]:
-    """Minimal form of a non-empty reachable ``gen`` and the minimal state of each state.
+def _minimal(adj: Sequence[Mapping[int, int]], marked: Collection[int],
+             alphabet: frozenset[int]) -> tuple[Generator, list[int]]:
+    """Minimal form of a non-empty generator and the minimal state of each state.
 
-    ``_refine`` starts from the labels (marked, eligible events), so members
-    of a block share their eligible events, the default group never applies,
-    and the result is the coarsest partition by closed and marked futures.
-    The minimal form is numbered in BFS order, so two generators with the same
-    closed and marked languages (and alphabet) give equal minimal forms.
+    The generator is given as ``_quotient`` takes it, reachable and numbered
+    in BFS order.  ``_refine`` starts from the labels (marked, eligible
+    events), so members of a block share their eligible events and, once
+    stable, their successor block on every event; the result is the coarsest
+    partition by closed and marked futures.  A BFS of the quotient therefore
+    meets the blocks in the order of their least members, the order
+    ``_refine`` numbers them in, so the quotient is already in BFS order and
+    equal languages (and alphabets) give equal minimal forms.
     """
-    adj = _successors(gen)
-    block = _refine(((s in gen.marked, frozenset(succ)) for s, succ in enumerate(adj)),
-                    adj, sorted(gen.alphabet))
-    quotient = _quotient(gen, block)
-    final, order = _bfs_renumber(quotient, quotient.out_edges())
-    return final, [order[b] for b in block]
+    block = _refine(((s in marked, frozenset(succ)) for s, succ in enumerate(adj)),
+                    adj, sorted(alphabet))
+    return _quotient(adj, block, marked, alphabet), block
 
 
 def minimize(g: Generator) -> Generator:
@@ -459,7 +458,8 @@ def minimize(g: Generator) -> Generator:
     """
     if g.is_empty:
         return g
-    return _minimal(renumber_bfs(g))[0]
+    reached = renumber_bfs(g)
+    return _minimal(reached.out_edges(), reached.marked, reached.alphabet)[0]
 
 
 def project(g: Generator, erase: Iterable[int]) -> Generator:
@@ -489,34 +489,21 @@ def language_subset(a: Generator, b: Generator) -> bool:
     if b.is_empty:
         return False
     _, pairs = _product([a, b], dict.fromkeys(a.alphabet, (0, 1)))
-    a_succ = _successors(a)
-    b_succ = _successors(b)
+    a_succ = a.out_edges()
+    b_succ = b.out_edges()
     return all((x not in a.marked or y in b.marked) and a_succ[x].keys() <= b_succ[y].keys()
                for x, y in pairs)
 
 
-def bounded_language(g: Generator, max_len: int) -> tuple[set[tuple[int, ...]], set[tuple[int, ...]]]:
-    """All strings of the closed and marked languages up to ``max_len``."""
-    closed: set[tuple[int, ...]] = set()
-    marked: set[tuple[int, ...]] = set()
-    if g.is_empty:
-        return closed, marked
-    adj = g.out_edges()
-    frontier: list[tuple[tuple[int, ...], int]] = [((), g.initial)]
-    for _ in range(max_len + 1):
-        nxt: list[tuple[tuple[int, ...], int]] = []
-        for string, q in frontier:
-            closed.add(string)
-            if q in g.marked:
-                marked.add(string)
-            for e, dst in adj[q]:
-                nxt.append((string + (e,), dst))
-        frontier = nxt
-    return closed, marked
-
-
 def to_dot(g: Generator, name: str = "G", state_labels: Mapping[int, str] | None = None) -> str:
-    """GraphViz rendering: one node per state, double circle for marked states."""
+    """GraphViz rendering: one node per state, double circle for marked states.
+
+    The graph name is written bare when it is a plain identifier and not a
+    DOT keyword, and quoted otherwise.
+    """
+    keywords = {"node", "edge", "graph", "digraph", "subgraph", "strict"}
+    if not (name.isascii() and name.isidentifier()) or name.lower() in keywords:
+        name = '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
     lines = [f"digraph {name} {{", "  rankdir=LR;", "  node [shape=circle];"]
     if g.is_empty:
         lines.append("}")

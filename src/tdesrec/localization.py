@@ -31,8 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .automata import (Generator, _bfs_parents, _numbered, _quotient, _refine, _successors,
-                       renumber_bfs, sync_product)
+from .automata import (Generator, _bfs_parents, _numbered, _quotient, _refine, renumber_bfs,
+                       sync_product)
 from .events import TICK, event_name
 from .solver import Path, ReconfigProblem, trs
 from .synthesis import Supervisor
@@ -81,13 +81,15 @@ def _split_apart(block: Sequence[int], states: Iterable[int]) -> list[int]:
     return _numbered((b, s if s in alone else -1) for s, b in enumerate(block))
 
 
-def _controller(gen: Generator, block: Sequence[int], protected: frozenset[int]) -> Generator:
+def _controller(gen: Generator, adj: Sequence[Mapping[int, int]], block: Sequence[int],
+                protected: frozenset[int]) -> Generator:
     """Quotient of the supervisor under a stable partition, as a local controller.
 
+    ``adj`` is the supervisor's adjacency; its BFS numbering starts it at 0.
     Events outside ``protected`` whose transitions are self-loops at every
     block are dropped from the alphabet.
     """
-    quotient = _quotient(gen, block)
+    quotient = _quotient(adj, block, gen.marked, gen.alphabet)
     dropped = {e for e in gen.alphabet - protected
                if all(quotient.target(b, e) == b for b in range(quotient.n_states))}
     kept = {(b, e): t for (b, e), t in quotient.transitions.items() if e not in dropped}
@@ -106,7 +108,8 @@ def timed_localize(pkg: DecentralizationPackage) -> LocalizedSupervisor:
     meets: its alphabet is the plant's, its states are numbered in BFS order,
     and it tracks the plant (its initial state tracks the plant's, each of its
     transitions has a matching plant transition, and each marked state tracks
-    a marked plant state).
+    a marked plant state).  The numbering check, the labels, the refinements
+    and the controllers all read one adjacency of the supervisor.
     """
     sup = pkg.supervisor
     if sup.is_empty:
@@ -124,11 +127,11 @@ def timed_localize(pkg: DecentralizationPackage) -> LocalizedSupervisor:
     plant_states = sup.plant_states
     if gen.alphabet != plant_gen.alphabet:
         raise ValueError("supervisor alphabet differs from the plant's")
-    if list(_bfs_parents(gen.out_edges(), gen.initial)) != list(range(gen.n_states)):
+    adj = gen.out_edges()
+    if list(_bfs_parents(adj, gen.initial)) != list(range(gen.n_states)):
         raise ValueError("supervisor states are not numbered in BFS order")
     if plant_states[gen.initial] != plant_gen.initial:
         raise ValueError("supervisor initial state does not track the plant's initial state")
-    adj = _successors(gen)
     demarked = []
     for x, p in enumerate(plant_states):
         if not (0 <= p < plant_gen.n_states):
@@ -154,15 +157,15 @@ def timed_localize(pkg: DecentralizationPackage) -> LocalizedSupervisor:
     # Disambiguation: the plant state plus the controllers' joint knowledge
     # must identify the supervisor state, otherwise the decentralized closed
     # loop would conflate histories the centralized supervisor keeps apart.
-    # The first partition absorbs whatever splits are needed.
-    while True:
-        joint: dict[tuple, list[int]] = {}
-        for x in range(gen.n_states):
-            key = (plant_states[x],) + tuple(block[x] for _, _, block in partitions)
-            joint.setdefault(key, []).append(x)
-        clashes = [x for xs in joint.values() if len(xs) > 1 for x in xs]
-        if not clashes:
-            break
+    # The first partition absorbs whatever splits are needed, in one
+    # refinement: ``_refine`` only splits blocks, so each clashing state keeps
+    # a block of its own and no key clashes afterwards.
+    joint: dict[tuple, list[int]] = {}
+    for x in range(gen.n_states):
+        key = (plant_states[x],) + tuple(block[x] for _, _, block in partitions)
+        joint.setdefault(key, []).append(x)
+    clashes = [x for xs in joint.values() if len(xs) > 1 for x in xs]
+    if clashes:
         kind, label, anchor = partitions[0]
         partitions[0] = (kind, label, _refine(_split_apart(anchor, clashes), adj, events_sorted))
 
@@ -170,29 +173,23 @@ def timed_localize(pkg: DecentralizationPackage) -> LocalizedSupervisor:
     event_controllers = {}
     for kind, label, block in partitions:
         protected = frozenset({label}) if kind == "event" else frozenset({TICK, label})
-        controller = _controller(gen, block, protected)
+        controller = _controller(gen, adj, block, protected)
         if kind == "event":
             event_controllers[label] = controller
         else:
             tick_controllers[label] = controller
 
-    loc = _compose(tick_controllers, event_controllers, used_fallback=False)
+    tdrs = sync_product([tick_controllers[b] for b in tick_targets]
+                        + [event_controllers[a] for a in event_targets])
+    loc = LocalizedSupervisor(tick_controllers, event_controllers, tdrs, used_fallback=False)
     if verify_localization(pkg, loc):
         return loc
     # Under the contract checked above, the trivial localization's closed loop
-    # is the supervisor by construction (DECISIONS.md, "The closed loop is the
-    # supervisor"), so it is not checked again.
-    return _compose({beta: gen for beta in tick_targets},
-                    {alpha: gen for alpha in event_targets}, used_fallback=True)
-
-
-def _compose(tick_controllers: Mapping[int, Generator],
-             event_controllers: Mapping[int, Generator],
-             used_fallback: bool) -> LocalizedSupervisor:
-    tdrs = sync_product([tick_controllers[b] for b in sorted(tick_controllers)]
-                        + [event_controllers[a] for a in sorted(event_controllers)])
-    return LocalizedSupervisor(dict(tick_controllers), dict(event_controllers),
-                               tdrs, used_fallback)
+    # is the supervisor by construction, and so is its composition: copies of
+    # a generator compose to its diagonal, numbered as the supervisor is
+    # (DECISIONS.md, "The fallback is the supervisor by construction").
+    return LocalizedSupervisor({beta: gen for beta in tick_targets},
+                               {alpha: gen for alpha in event_targets}, gen, used_fallback=True)
 
 
 def verify_localization(pkg: DecentralizationPackage, loc: LocalizedSupervisor) -> bool:

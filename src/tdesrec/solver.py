@@ -216,13 +216,8 @@ def erase_ticks(path: Path) -> Path:
     return tuple(e for e in path if e != TICK)
 
 
-def state_witness(gen: Generator, state: int) -> Path:
-    """A shortest string from the initial state to ``state`` (BFS order)."""
-    return _witnesses(gen, [state])[0]
-
-
 def _witnesses(gen: Generator, states: Sequence[int]) -> list[Path]:
-    """The ``state_witness`` of each of ``states``, read off one BFS tree."""
+    """The shortlex-least string reaching each of ``states``, read off one BFS tree."""
     if gen.is_empty:
         raise ValueError("empty generator has no states")
     parents = _bfs_parents(gen.out_edges(), gen.initial)

@@ -16,7 +16,6 @@ from .automata import (
     Generator,
     _bfs_renumber,
     _product,
-    _successors,
     allevents,
     sync_product,
 )
@@ -114,8 +113,8 @@ def controllable(candidate: Generator, plant: TimedGenerator,
     plant_gen = plant.generator
     _, pairs = _product([candidate, plant_gen],
                         dict.fromkeys(candidate.alphabet | plant_gen.alphabet, (0, 1)))
-    cand_succ = _successors(candidate)
-    plant_succ = _successors(plant_gen)
+    cand_succ = candidate.out_edges()
+    plant_succ = plant_gen.out_edges()
     for x, p in pairs:
         e = _violation(plant_succ[p], cand_succ[x], events)
         if e is not None:
@@ -156,13 +155,13 @@ def supcon(plant: TimedGenerator, spec: Generator,
     adj = product.out_edges()
     preds: list[list[int]] = [[] for _ in range(n)]
     for q, edges in enumerate(adj):
-        for _, t in edges:
+        for t in edges.values():
             preds[t].append(q)
     alive = [True] * n
-    plant_succ = _successors(plant_gen)
+    plant_succ = plant_gen.out_edges()
 
     def offered(q: int) -> dict[int, int]:
-        return {e: t for e, t in adj[q] if alive[t]}
+        return {e: t for e, t in adj[q].items() if alive[t]}
 
     pending = list(range(n))
     while pending and alive[product.initial]:
@@ -189,17 +188,16 @@ def supcon(plant: TimedGenerator, spec: Generator,
     del preds  # freed before the result is built, to keep the peak down
     if not n or not alive[product.initial]:
         return Supervisor(Generator(0, product.alphabet, {}, 0, frozenset()), events, (), (), ())
-    for q, edges in enumerate(adj):  # confined to the survivors in place, for the same reason
-        adj[q] = [(e, t) for e, t in edges if alive[t]] if alive[q] else []
+    for q in range(n):  # confined to the survivors in place, for the same reason
+        adj[q] = offered(q) if alive[q] else {}
     gen, order = _bfs_renumber(product, adj)
     plant_states = tuple(pairs[q][0] for q in order)  # ``order`` runs in new-state order
     disabled = []
     preempted = []
     for q, p in zip(order, plant_states):
-        given = {e for e, _ in adj[q]}
         disabled.append(frozenset(e for e in plant_succ[p]
-                                  if e not in given and events.is_prohibitible(e)))
-        preempted.append(TICK in plant_succ[p] and TICK not in given)
+                                  if e not in adj[q] and events.is_prohibitible(e)))
+        preempted.append(TICK in plant_succ[p] and TICK not in adj[q])
     return Supervisor(gen, events, plant_states, tuple(disabled), tuple(preempted))
 
 

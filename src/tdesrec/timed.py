@@ -47,10 +47,6 @@ class TimedState:
                 return value
         raise KeyError(label)
 
-    @property
-    def timers_dict(self) -> dict[int, int]:
-        return dict(self.timers)
-
 
 @dataclass(frozen=True)
 class TimedGenerator:
@@ -92,7 +88,7 @@ def timed_graph(atg: Generator, events: EventTable,
     bound = {e: 0 if d.is_remote else d.upper - d.lower for e, d in zip(labels, defs)}
     position = {e: i for i, e in enumerate(labels)}
     adj = atg.out_edges()
-    enabled_at = [frozenset(e for e, _ in edges) for edges in adj]
+    enabled_at = [frozenset(edges) for edges in adj]
     # Per activity: the timers whose 0 blocks tick, which timers a tick
     # counts down (the others reset), and the moves in event order.
     deadlines: list[tuple[int, ...]] = []
@@ -105,7 +101,7 @@ def timed_graph(atg: Generator, events: EventTable,
         moves.append([
             (e, position[e], bound[e], dst,
              tuple(f != e and f in enabled and f in enabled_at[dst] for f in labels))
-            for e, dst in edges
+            for e, dst in sorted(edges.items())
         ])
 
     start = (atg.initial, defaults)

@@ -263,49 +263,73 @@ class TestVerifyDecentralized:
                                 "prohibitible and forcible for decentralized solving\n")
 
 
+def count_calls(monkeypatch, fns):
+    """Count the calls of each of ``fns`` through every ``tdesrec`` module."""
+    import sys
+
+    calls = {}
+    for fn in fns:
+        calls[fn.__name__] = 0
+
+        def counted(*args, _fn=fn, **kwargs):
+            calls[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] != "tdesrec":
+                continue
+            for attr, obj in list(vars(module).items()):
+                if obj is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
 class TestPipelineStagesOnce:
     # Synthesis composes twice (the mode plant, the lifted spec), localization
-    # once (all controllers), and each closed loop once.  verify-decentralized
+    # once (all controllers), and each closed loop once; a fallback composes
+    # nothing more, its composition being the supervisor.  verify-decentralized
     # checks the closed loop inside timed_localize and again in
     # verify_solution_equivalence; it solves once there and twice in the
-    # commutativity report, and replays nothing from a witness.
-    @pytest.mark.parametrize("command, problem, loops, solves, products", [
+    # commutativity report.
+    @pytest.mark.parametrize("command, extra, loops, solves, products", [
         ("localize", [], 1, 0, 4),
+        ("localize", ["--ev", "91"], 1, 0, 4),
         ("verify-decentralized", ["--from", "83", "--to", "516", "--event", "91"], 2, 3, 5),
-    ], ids=["localize", "verify-decentralized"])
+    ], ids=["localize", "localize-fallback", "verify-decentralized"])
     def test_plant_built_and_localized_once(self, monkeypatch, model_path, capsys,
-                                            command, problem, loops, solves, products):
-        import sys
-
+                                            command, extra, loops, solves, products):
         from tdesrec.automata import sync_product
         from tdesrec.localization import (decentralized_closed_loop, timed_localize,
                                           verify_localization)
-        from tdesrec.solver import state_witness, trs
+        from tdesrec.solver import trs
         from tdesrec.synthesis import mode_timed_graph
 
-        calls = {}
-        for fn in (mode_timed_graph, timed_localize, verify_localization,
-                   decentralized_closed_loop, trs, sync_product, state_witness):
-            calls[fn.__name__] = 0
-
-            def counted(*args, _fn=fn, **kwargs):
-                calls[_fn.__name__] += 1
-                return _fn(*args, **kwargs)
-
-            for name, module in list(sys.modules.items()):
-                if name.split(".")[0] != "tdesrec":
-                    continue
-                for attr, obj in list(vars(module).items()):
-                    if obj is fn:
-                        monkeypatch.setattr(module, attr, counted)
+        calls = count_calls(monkeypatch, (mode_timed_graph, timed_localize, verify_localization,
+                                          decentralized_closed_loop, trs, sync_product))
         rc = main([command, model_path, "--components", "M1", "M2",
                    "--reconfig", "R", "--spec", "SPEC", "--reconfig-event", "91",
-                   *problem])
+                   *extra])
         assert rc == EXIT_OK
         assert calls == {"mode_timed_graph": 1, "timed_localize": 1,
                          "verify_localization": loops,
                          "decentralized_closed_loop": loops, "trs": solves,
-                         "sync_product": products, "state_witness": 0}
+                         "sync_product": products}
+
+    # The subset construction is numbered in BFS order and its minimal form
+    # keeps that order, so the projection is never renumbered.
+    @pytest.mark.parametrize("command, extra, solves", [
+        ("project", ["--block", "TSUP", "--name", "PTSUP"], 0),
+        ("verify-commutativity", ["--supervisor", "TSUP", "--from", "83", "--to", "516",
+                                  "--event", "91"], 2),
+    ], ids=["project", "verify-commutativity"])
+    def test_projection_built_once(self, monkeypatch, tsup_path, capsys, command, extra,
+                                   solves):
+        from tdesrec.automata import _bfs_renumber, project_detail
+        from tdesrec.solver import trs
+
+        calls = count_calls(monkeypatch, (project_detail, _bfs_renumber, trs))
+        assert main([command, tsup_path, *extra]) == EXIT_OK
+        assert calls == {"project_detail": 1, "_bfs_renumber": 0, "trs": solves}
 
 
 class TestExportDot:
@@ -315,6 +339,24 @@ class TestExportDot:
         out = capsys.readouterr().out
         assert "digraph M1" in out
         assert "doublecircle" in out
+
+    @pytest.mark.parametrize("command, header", [
+        (["export-dot", "{model}", "--block", "M-1"], 'digraph "M-1" {'),
+        (["export-dot", "{model}", "--block", "graph"], 'digraph "graph" {'),
+        (["timed-graph", "{model}", "M-1", "--name", "T-1", "--dot", "{dot}"],
+         'digraph "T-1" {'),
+    ], ids=["hyphen", "keyword", "timed-graph"])
+    def test_graph_name_is_a_dot_id(self, tmp_path, capsys, command, header):
+        # A name that is not a plain identifier, or is a DOT keyword, is
+        # written quoted; plain names stay bare (test_dot_output).
+        model = tmp_path / "names.tdes"
+        model.write_text(small_factory_text().replace("atg M1\n", "atg M-1\n")
+                         .replace("atg M2\n", "atg graph\n"))
+        dot = tmp_path / "t.dot"
+        args = [a.format(model=model, dot=dot) for a in command]
+        assert main(args) == EXIT_OK
+        out = dot.read_text() if "--dot" in args else capsys.readouterr().out
+        assert out.splitlines()[0] == header
 
     def test_empty_supervisor_round_trips(self, tmp_path, capsys):
         # A spec that marks nothing leaves no admissible behavior: supcon

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from tdesrec import localization
 from tdesrec.automata import (
     Generator,
     _refine,
@@ -25,12 +26,11 @@ from tdesrec.localization import (
     verify_localization,
     verify_solution_equivalence,
 )
-from tdesrec.solver import (ReconfigProblem, state_witness, trs,
-                            verify_projection_commutativity)
+from tdesrec.solver import ReconfigProblem, trs, verify_projection_commutativity
 from tdesrec.synthesis import Supervisor, supcon
 from tdesrec.timed import timed_graph
 from util import (OraclePartition, oracle_nested_tdrs, oracle_replay_side,
-                  random_pipeline_supervisor, sample_problems)
+                  oracle_state_witness, random_pipeline_supervisor, sample_problems)
 
 
 def single_loop_package():
@@ -56,14 +56,14 @@ def random_package(rng, max_events=4, max_states=None):
     return DecentralizationPackage(ttg, sup, ev)
 
 
-def assert_replay_is_membership(pkg, loc, problem):
+def assert_replay_is_membership(pkg, loc, problem, witness):
     """Each side of the report's flags against the replay of every solution
-    through that side's composed controllers, from the source's witness.
+    through that side's composed controllers, from ``witness``, a string
+    reaching the source.
 
     Returns the two flags.
     """
     report = verify_solution_equivalence(pkg, loc, problem)
-    witness = state_witness(pkg.supervisor.automaton, problem.source)
     flags = (report.sigma_r_in_tick_alphabet, report.sigma_r_in_event_alphabet)
     for controllers, flag in zip((loc.tick_controllers, loc.event_controllers), flags):
         assert flag == oracle_replay_side(controllers, witness, report.centralized,
@@ -128,8 +128,6 @@ class TestTimedLocalize:
         # disablement, then blind it: the identity must fail.  (Controllers
         # may overlap in what they enforce, so keep searching until the
         # replacement actually matters.)
-        from tdesrec.localization import _compose
-
         rng = random.Random(50)
         for _ in range(400):
             pkg = random_package(rng)
@@ -149,7 +147,8 @@ class TestTimedLocalize:
                                   {(0, e): 0 for e in broken_ctrls[alpha].alphabet},
                                   0, frozenset({0}))
                 broken_ctrls[alpha] = blind
-                broken = _compose(loc.tick_controllers, broken_ctrls, False)
+                blinded = dataclasses.replace(loc, event_controllers=broken_ctrls)
+                broken = dataclasses.replace(blinded, tdrs=oracle_nested_tdrs(blinded))
                 if not verify_localization(pkg, broken):
                     broke = True
                     break
@@ -204,7 +203,8 @@ class TestTimedLocalize:
         loc = timed_localize(pkg)
         assert sync_product([factory_ttg.generator, loc.tdrs]) == factory_supervisor.automaton
         assert loc.tdrs == oracle_nested_tdrs(loc)
-        assert_replay_is_membership(pkg, loc, factory_problem)
+        witness = oracle_state_witness(factory_supervisor.automaton, factory_problem.source)
+        assert_replay_is_membership(pkg, loc, factory_problem, witness)
 
     def test_supervisor_that_does_not_track_the_plant_rejected(self, factory_ttg,
                                                                factory_supervisor):
@@ -280,7 +280,7 @@ class TestTransport:
                 if not res.solvable:
                     continue
                 found = True
-                witness = state_witness(sup.automaton, q_s)
+                witness = oracle_state_witness(sup.automaton, q_s)
                 for path in res.paths:
                     string = witness + path
                     restricted = tuple(x for x in string
@@ -443,14 +443,23 @@ class TestDecentralizedCommutativity:
 
 
 class TestEveryDistribution:
-    def test_identity_and_solutions_under_every_event_sub_list(self):
+    def test_identity_and_solutions_under_every_event_sub_list(self, monkeypatch):
         # The solutions do not depend on how the decisions are distributed:
         # under every nonempty sub-list of the default event list (greedy or
         # fallback) the closed loop is the supervisor, and solving on it gives
         # the centralized solutions.  The flat composition of the controllers
-        # is the composition of the two composed sides, and the report's
-        # alphabet flags are what the replay through each side finds.
+        # is the composition of the two composed sides (for a fallback, of
+        # copies of the supervisor), and the report's alphabet flags are what
+        # the replay through each side finds.  The sweep meets localizations
+        # that disambiguate, whose single refinement the identity checks.
         # Criterion-7 package settings.
+        disambiguated = []
+
+        def split_apart(block, states):
+            disambiguated.append(1)
+            return _split_apart(block, states)
+
+        monkeypatch.setattr(localization, "_split_apart", split_apart)
         rng = random.Random(2026)
         packages = localizations = fallbacks = compared = replayed = 0
         flags = set()
@@ -477,6 +486,7 @@ class TestEveryDistribution:
                     solved = solved or (q_s, q_r, e, central.paths)
                     if deciding:
                         decided = problem
+                        witness = oracle_state_witness(sup.automaton, q_s)
                         break
             events = sorted(pkg.event_list)
             for size in range(1, len(events) + 1):
@@ -486,7 +496,7 @@ class TestEveryDistribution:
                     assert verify_localization(sub_pkg, loc), sub
                     assert loc.tdrs == oracle_nested_tdrs(loc), sub
                     if decided is not None:
-                        flags.add(assert_replay_is_membership(sub_pkg, loc, decided))
+                        flags.add(assert_replay_is_membership(sub_pkg, loc, decided, witness))
                         replayed += 1
                     localizations += 1
                     fallbacks += loc.used_fallback
@@ -497,6 +507,8 @@ class TestEveryDistribution:
                         compared += 1
             packages += 1
         print(f"{packages} packages: {localizations} localizations, {fallbacks} fallbacks, "
-              f"{compared} closed-loop solutions compared, {replayed} reports replayed")
+              f"{len(disambiguated)} disambiguated, {compared} closed-loop solutions compared, "
+              f"{replayed} reports replayed")
         # The replay is compared on both outcomes of each side.
         assert flags == set(itertools.product((False, True), repeat=2))
+        assert disambiguated

@@ -21,11 +21,11 @@ from tdesrec.solver import (
     ReconfigProblem,
     erase_ticks,
     select_optimal,
-    state_witness,
     trs,
     verify_projection_commutativity,
 )
 from tdesrec.synthesis import controllable
+from util import oracle_state_witness
 
 OPERATIONAL = (23, 33, 12, 31)
 
@@ -111,7 +111,7 @@ class TestProjection:
         # of the current state.
         gen = factory_supervisor.automaton
         ptsup = project(gen, {TICK})
-        source_image = ptsup.run(erase_ticks(state_witness(gen, factory_problem.source)))
+        source_image = ptsup.run(erase_ticks(oracle_state_witness(gen, factory_problem.source)))
         assert source_image is not None
         end = ptsup.run(OPERATIONAL, start=source_image)
         assert end is not None
@@ -166,7 +166,7 @@ class TestDecentralization:
     def test_transport_into_tdrs(self, package, factory_problem):
         loc = timed_localize(package)
         sup = package.supervisor
-        witness = state_witness(sup.automaton, factory_problem.source)
+        witness = oracle_state_witness(sup.automaton, factory_problem.source)
         for path in trs(factory_problem).paths:
             restricted = tuple(e for e in witness + path
                                if e in loc.tdrs.alphabet)

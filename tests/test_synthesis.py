@@ -8,7 +8,6 @@ import pytest
 from tdesrec.automata import (
     Generator,
     allevents,
-    bounded_language,
     coreachable_states,
     is_nonblocking,
     language_equal,

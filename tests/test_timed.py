@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from tdesrec.automata import Generator, bounded_language
+from tdesrec.automata import Generator
 from tdesrec.events import PROHIBITIBLE, TICK, UNCONTROLLABLE, EventDef, EventTable
 from tdesrec.timed import TimedGenerator, timed_graph
-from util import (check_bound_soundness, check_deadline_soundness,
+from util import (bounded_language, check_bound_soundness, check_deadline_soundness,
                   check_remote_liveness, oracle_timed_graph, random_atg)
 
 
@@ -128,7 +128,7 @@ class TestTimedGraphReference:
         adj = ttg.generator.out_edges()
         seen = set()
         for q, edges in enumerate(adj):
-            for e, dst in edges:
+            for e, dst in edges.items():
                 if e == TICK:
                     continue
                 d = events[e]
@@ -141,7 +141,7 @@ class TestTimedGraphReference:
                     if f in enabled[after.activity]:
                         if before.timer(f) < events[f].default_timer:
                             seen.add("kept across a move")
-                    elif any(f in enabled[states[nxt].activity] for _, nxt in adj[dst]):
+                    elif any(f in enabled[states[nxt].activity] for nxt in adj[dst].values()):
                         seen.add("disabled then re-enabled")
         return seen
 

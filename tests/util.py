@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable, Mapping, Sequence
 
-from tdesrec.automata import (Generator, ProjectionDetail, _bfs_renumber, _minimal, _product,
-                              bounded_language, coreachable_states, reachable_states,
-                              renumber_bfs, sync_product)
+from tdesrec.automata import (Generator, ProjectionDetail, _bfs_renumber, _product, _refine,
+                              coreachable_states, reachable_states, renumber_bfs,
+                              sync_product)
 from tdesrec.events import TICK, PROHIBITIBLE, UNCONTROLLABLE, EventDef, EventTable
 from tdesrec.solver import ReconfigProblem, _backtrackable_into
 from tdesrec.synthesis import Supervisor, _violation, supcon
@@ -141,6 +141,27 @@ def sample_problems(rng: random.Random, sup: Supervisor,
 # Oracles
 
 
+def bounded_language(g: Generator, max_len: int
+                     ) -> tuple[set[tuple[int, ...]], set[tuple[int, ...]]]:
+    """All strings of the closed and marked languages up to ``max_len``."""
+    closed: set[tuple[int, ...]] = set()
+    marked: set[tuple[int, ...]] = set()
+    if g.is_empty:
+        return closed, marked
+    adj = g.out_edges()
+    frontier: list[tuple[tuple[int, ...], int]] = [((), g.initial)]
+    for _ in range(max_len + 1):
+        nxt: list[tuple[tuple[int, ...], int]] = []
+        for string, q in frontier:
+            closed.add(string)
+            if q in g.marked:
+                marked.add(string)
+            for e, dst in adj[q].items():
+                nxt.append((string + (e,), dst))
+        frontier = nxt
+    return closed, marked
+
+
 def oracle_language_equal(a: Generator, b: Generator, depth: int) -> bool:
     """Bounded-enumeration language comparison."""
     return bounded_language(a, depth) == bounded_language(b, depth)
@@ -181,7 +202,9 @@ def oracle_project_detail(g: Generator, erase: Iterable[int]) -> ProjectionDetai
     """``automata.project_detail`` as first written, on ``frozenset`` subsets.
 
     The reference copy of the subset construction: every move's closure over
-    erased events is a fresh BFS.  Minimization and pooling are the program's.
+    erased events is a fresh BFS.  Minimization keeps its first form: the
+    quotient under the program's ``_refine`` is built as a generator and
+    renumbered in BFS order, which ``automata._minimal`` skips.
     """
     erased = frozenset(erase)
     if not erased <= g.alphabet:
@@ -196,7 +219,7 @@ def oracle_project_detail(g: Generator, erase: Iterable[int]) -> ProjectionDetai
         queue = deque(seen)
         while queue:
             q = queue.popleft()
-            for e, dst in adj[q]:
+            for e, dst in adj[q].items():
                 if e in erased and dst not in seen:
                     seen.add(dst)
                     queue.append(dst)
@@ -215,7 +238,7 @@ def oracle_project_detail(g: Generator, erase: Iterable[int]) -> ProjectionDetai
             marked.add(sid)
         moves: dict[int, set[int]] = {}
         for q in subset:
-            for e, dst in adj[q]:
+            for e, dst in adj[q].items():
                 if e not in erased:
                     moves.setdefault(e, set()).add(dst)
         for e in sorted(moves):
@@ -226,7 +249,14 @@ def oracle_project_detail(g: Generator, erase: Iterable[int]) -> ProjectionDetai
                 queue.append(key)
             transitions[(sid, e)] = index[key]
     gen = Generator(len(index), alphabet, transitions, 0, frozenset(marked))
-    final, to_final = _minimal(gen)
+    succ = gen.out_edges()
+    block = _refine(((s in gen.marked, frozenset(edges)) for s, edges in enumerate(succ)),
+                    succ, sorted(alphabet))
+    quotient = Generator(max(block) + 1, alphabet,
+                         {(block[s], e): block[t] for (s, e), t in gen.transitions.items()},
+                         block[gen.initial], frozenset(block[s] for s in gen.marked))
+    final, order = _bfs_renumber(quotient, quotient.out_edges())
+    to_final = [order[b] for b in block]
     pooled: list[set[int]] = [set() for _ in range(final.n_states)]
     for subset, q in zip(subsets, to_final):
         pooled[q].update(subset)
@@ -255,23 +285,21 @@ def oracle_timed_graph(atg: Generator, events: EventTable,
     labels = sorted(atg.alphabet)
     defs = {e: events[e] for e in labels}
     adj = atg.out_edges()
-    enabled_at: list[frozenset[int]] = [
-        frozenset(e for e, _ in adj[a]) for a in range(atg.n_states)
-    ]
+    enabled_at: list[frozenset[int]] = [frozenset(adj[a]) for a in range(atg.n_states)]
 
     def initial_state() -> TimedState:
         return TimedState(atg.initial,
                           tuple((e, defs[e].default_timer) for e in labels))
 
     def tick_allowed(state: TimedState) -> bool:
-        timers = state.timers_dict
+        timers = dict(state.timers)
         return not any(
             defs[e].is_prospective and timers[e] == 0
             for e in enabled_at[state.activity]
         )
 
     def tick_step(state: TimedState) -> TimedState:
-        timers = state.timers_dict
+        timers = dict(state.timers)
         enabled = enabled_at[state.activity]
         new = []
         for e in labels:
@@ -295,7 +323,7 @@ def oracle_timed_graph(atg: Generator, events: EventTable,
         assert nxt_activity is not None
         before = enabled_at[state.activity]
         after = enabled_at[nxt_activity]
-        timers = state.timers_dict
+        timers = dict(state.timers)
         new = []
         for tau in labels:
             if tau == e or tau not in before or tau not in after:
@@ -373,7 +401,7 @@ def oracle_supcon_rounds(plant: TimedGenerator, spec: Generator,
     plant_elig = _eligible_sets(plant_gen)
 
     def survivor_eligible(q: int) -> dict[int, int]:
-        return {e: t for e, t in adj[q] if t in alive}
+        return {e: t for e, t in adj[q].items() if t in alive}
 
     def restricted() -> Generator:
         """The product confined to the surviving states."""
@@ -916,7 +944,7 @@ def check_bound_soundness(atg: Generator, ttg: TimedGenerator,
         if depth >= max_len:
             continue
         activity = ttg.timed_states[q].activity
-        for e, dst in adj[q]:
+        for e, dst in sorted(adj[q].items()):
             if e == TICK:
                 new_age = {ev: a + 1 for ev, a in age.items()}
             else:
