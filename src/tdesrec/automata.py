@@ -106,31 +106,30 @@ def _bfs_parents(adj: Sequence[Mapping[int, int]], initial: int
     return parents
 
 
-def _bfs_renumber(g: Generator, adj: Sequence[Mapping[int, int]]
-                  ) -> tuple[Generator, dict[int, int]]:
-    """The part of non-empty ``g`` that ``adj`` reaches, in BFS order, and its state map.
+def _bfs_renumber(adj: Sequence[Mapping[int, int]], initial: int, marked: Iterable[int],
+                  alphabet: frozenset[int]) -> tuple[Generator, dict[int, int]]:
+    """The part of a generator that ``adj`` reaches from ``initial``, in BFS order, and its state map.
 
-    ``adj`` is ``g.out_edges()``, or its restriction to a set of states that
-    holds ``g.initial`` (the edges between kept states).  Transitions keep
-    their order in ``g``, so a restriction gives what renumbering the
-    restricted generator would, without building that generator.
+    The generator is given by its adjacency ``adj`` (shaped like
+    ``Generator.out_edges()``, possibly confined to a set of states that holds
+    ``initial``), its ``marked`` states and its ``alphabet``.  Transitions are
+    listed in old-state order and, per state, in ``adj``'s event order, so the
+    result is built from the adjacency the BFS walks, with no second pass over
+    the generator's transitions.
     """
-    order = {q: i for i, q in enumerate(_bfs_parents(adj, g.initial))}
-    del adj  # a caller's temporary adjacency is freed before the copy, to keep the peak down
-    transitions = {
-        (order[s], e): order[t]
-        for (s, e), t in g.transitions.items()
-        if s in order and t in order
-    }
-    marked = frozenset(order[q] for q in g.marked if q in order)
-    return Generator(len(order), g.alphabet, transitions, 0, marked), order
+    order = {q: i for i, q in enumerate(_bfs_parents(adj, initial))}
+    transitions = {(order[s], e): order[t]
+                   for s, edges in enumerate(adj) if s in order
+                   for e, t in edges.items()}
+    marked = frozenset(order[q] for q in marked if q in order)
+    return Generator(len(order), alphabet, transitions, 0, marked), order
 
 
 def renumber_bfs(g: Generator) -> Generator:
     """Restrict to the reachable part and renumber states in BFS order."""
     if g.is_empty:
         return g
-    return _bfs_renumber(g, g.out_edges())[0]
+    return _bfs_renumber(g.out_edges(), g.initial, g.marked, g.alphabet)[0]
 
 
 def reachable_states(g: Generator) -> frozenset[int]:
@@ -168,7 +167,7 @@ def trim(g: Generator) -> Generator:
         return Generator(0, g.alphabet, {}, 0, frozenset())
     adj = [{e: t for e, t in edges.items() if t in keep} if q in keep else {}
            for q, edges in enumerate(g.out_edges())]
-    return _bfs_renumber(g, adj)[0]
+    return _bfs_renumber(adj, g.initial, g.marked, g.alphabet)[0]
 
 
 def is_nonblocking(g: Generator) -> bool:
@@ -178,51 +177,67 @@ def is_nonblocking(g: Generator) -> bool:
     return reachable_states(g) <= coreachable_states(g)
 
 
-def _product(components: Sequence[Generator], movers: Mapping[int, Sequence[int]]
-             ) -> tuple[Generator, list[tuple[int, ...]]]:
+def _product(components: Sequence[Generator], succ: Sequence[Sequence[Mapping[int, int]]],
+             movers: Mapping[int, Sequence[int]]
+             ) -> tuple[list[dict[int, int]], list[tuple[int, ...]], list[int]]:
     """Reachable product where event ``e`` moves the components ``movers[e]`` (at least one).
 
-    An event is eligible only when every component it moves can execute it;
-    the others keep their state.  The alphabet is the set of ``movers`` keys,
-    and marked states are products of marked states.  Returns the product and
-    the component-state tuple of each product state.
+    ``succ[i]`` is ``components[i].out_edges()``.  An event is eligible only
+    when every component it moves can execute it; the others keep their
+    state.  The product's alphabet is the set of ``movers`` keys.  Returns,
+    per product state in BFS discovery order, its successors by event in
+    increasing event order (shaped like ``Generator.out_edges()``) and its
+    component-state tuple, plus the marked states (products of marked
+    states), in increasing order.  All three are empty when some component
+    is.  No product generator is built: a caller that needs one builds it
+    from the adjacency.
     """
-    alphabet = frozenset(movers)
     if any(c.is_empty for c in components):
-        return Generator(0, alphabet, {}, 0, frozenset()), []
-    trans = [c.transitions for c in components]
+        return [], [], []
     # An event's first mover is tried before the state is copied, so an event
     # that cannot occur costs no copy.
-    steps = [(e, movers[e][0], movers[e][1:]) for e in sorted(alphabet)]
+    steps = [(e, movers[e][0], movers[e][1:]) for e in sorted(movers)]
     start = tuple(c.initial for c in components)
     index: dict[tuple[int, ...], int] = {start: 0}
-    queue = deque([start])
-    transitions: dict[tuple[int, int], int] = {}
-    marked: set[int] = set()
-    while queue:
-        state = queue.popleft()
-        sid = index[state]
+    # ``states`` grows while it is walked, so it is the BFS queue.
+    states = [start]
+    adj: list[dict[int, int]] = []
+    marked: list[int] = []
+    for sid, state in enumerate(states):
         if all(state[i] in c.marked for i, c in enumerate(components)):
-            marked.add(sid)
+            marked.append(sid)
+        edges: dict[int, int] = {}
         for e, first, rest in steps:
-            dst = trans[first].get((state[first], e))
+            dst = succ[first][state[first]].get(e)
             if dst is None:
                 continue
             nxt = list(state)
             nxt[first] = dst
             for i in rest:
-                dst = trans[i].get((state[i], e))
+                dst = succ[i][state[i]].get(e)
                 if dst is None:
                     break
                 nxt[i] = dst
             else:
                 key = tuple(nxt)
-                if key not in index:
-                    index[key] = len(index)
-                    queue.append(key)
-                transitions[(sid, e)] = index[key]
-    gen = Generator(len(index), alphabet, transitions, 0, frozenset(marked))
-    return gen, list(index)
+                target = index.get(key)
+                if target is None:
+                    target = index[key] = len(states)
+                    states.append(key)
+                edges[e] = target
+        adj.append(edges)
+    return adj, states, marked
+
+
+def _composed(components: Sequence[Generator], movers: Mapping[int, Sequence[int]]
+              ) -> Generator:
+    """The product ``_product`` builds, as a generator over the ``movers`` keys."""
+    adj, _, marked = _product(components, [c.out_edges() for c in components], movers)
+    alphabet = frozenset(movers)
+    if not adj:
+        return Generator(0, alphabet, {}, 0, frozenset())
+    transitions = {(q, e): t for q, edges in enumerate(adj) for e, t in edges.items()}
+    return Generator(len(adj), alphabet, transitions, 0, frozenset(marked))
 
 
 def sync_product(components: Sequence[Generator]) -> Generator:
@@ -237,7 +252,7 @@ def sync_product(components: Sequence[Generator]) -> Generator:
     alphabet = frozenset().union(*(c.alphabet for c in components))
     movers = {e: [i for i, c in enumerate(components) if e in c.alphabet]
               for e in alphabet}
-    return _product(components, movers)[0]
+    return _composed(components, movers)
 
 
 def meet(a: Generator, b: Generator) -> Generator:
@@ -246,7 +261,7 @@ def meet(a: Generator, b: Generator) -> Generator:
     When the alphabets agree this realizes the language intersection; an event
     private to one operand can never occur in the result.
     """
-    return _product([a, b], dict.fromkeys(a.alphabet | b.alphabet, (0, 1)))[0]
+    return _composed([a, b], dict.fromkeys(a.alphabet | b.alphabet, (0, 1)))
 
 
 def allevents(g: Generator) -> Generator:
@@ -488,9 +503,9 @@ def language_subset(a: Generator, b: Generator) -> bool:
         return True
     if b.is_empty:
         return False
-    _, pairs = _product([a, b], dict.fromkeys(a.alphabet, (0, 1)))
     a_succ = a.out_edges()
     b_succ = b.out_edges()
+    _, pairs, _ = _product([a, b], [a_succ, b_succ], dict.fromkeys(a.alphabet, (0, 1)))
     return all((x not in a.marked or y in b.marked) and a_succ[x].keys() <= b_succ[y].keys()
                for x, y in pairs)
 

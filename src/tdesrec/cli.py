@@ -36,8 +36,9 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_UNSOLVABLE = 2
 
-# Backtracking-tree nodes ``solve`` and ``verify-commutativity`` search before
-# they stop with an error; the acceptance criteria solve under the same budget.
+# Backtracking-tree nodes ``solve``, ``verify-commutativity`` and
+# ``verify-decentralized`` search before they stop with an error; the
+# acceptance criteria solve under the same budget.
 _MAX_NODES = 200_000
 
 
@@ -239,13 +240,13 @@ def cmd_verify_decentralized(args) -> int:
     pkg = DecentralizationPackage(plant, sup, ev)
     problem = ReconfigProblem(sup, args.source, args.target, args.event)
     loc = timed_localize(pkg)
-    report = verify_solution_equivalence(pkg, loc, problem)
+    report = verify_solution_equivalence(pkg, loc, problem, _MAX_NODES)
     for line in report.describe():
         print(line)
     print("-- tick-projection commutativity on the decentralized supervisor --")
     # The equivalence report has refused a closed loop that is not the
     # supervisor, so the centralized report is the decentralized one.
-    commutativity = verify_projection_commutativity(problem)
+    commutativity = verify_projection_commutativity(problem, _MAX_NODES)
     for line in commutativity.describe():
         print(line)
     return EXIT_OK

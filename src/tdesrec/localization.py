@@ -244,14 +244,16 @@ class SolutionEquivalenceReport:
 
 
 def verify_solution_equivalence(pkg: DecentralizationPackage, loc: LocalizedSupervisor,
-                                problem: ReconfigProblem) -> SolutionEquivalenceReport:
+                                problem: ReconfigProblem,
+                                max_nodes: int | None = None) -> SolutionEquivalenceReport:
     """Solve the problem once, and check that the closed loop under ``loc`` is the supervisor.
 
     ``trs`` depends only on the generator, its event table and the problem, so
     once the closed loop equals the supervisor (``ValueError`` otherwise) the
     decentralized solutions are the centralized ones, with no second solve.
     The problem must be posed on the package's own supervisor, on which that
-    identity speaks (``ValueError`` otherwise).
+    identity speaks (``ValueError`` otherwise).  ``max_nodes`` bounds the
+    solve as it bounds ``trs``.
     """
     if problem.supervisor.automaton != pkg.supervisor.automaton:
         raise ValueError("problem is not posed on the package's supervisor")
@@ -261,7 +263,7 @@ def verify_solution_equivalence(pkg: DecentralizationPackage, loc: LocalizedSupe
         raise ValueError(
             f"reconfiguration event {event_name(sigma_r)} must be declared both "
             "prohibitible and forcible for decentralized solving")
-    central = trs(problem)
+    central = trs(problem, max_nodes)
     if not central.solvable:
         raise ValueError("problem is unsolvable on the centralized supervisor")
     if not verify_localization(pkg, loc):

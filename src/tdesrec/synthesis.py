@@ -111,10 +111,10 @@ def controllable(candidate: Generator, plant: TimedGenerator,
     if extra:
         raise ValueError(f"candidate alphabet exceeds plant alphabet: {sorted(extra)}")
     plant_gen = plant.generator
-    _, pairs = _product([candidate, plant_gen],
-                        dict.fromkeys(candidate.alphabet | plant_gen.alphabet, (0, 1)))
     cand_succ = candidate.out_edges()
     plant_succ = plant_gen.out_edges()
+    _, pairs, _ = _product([candidate, plant_gen], [cand_succ, plant_succ],
+                           dict.fromkeys(candidate.alphabet | plant_gen.alphabet, (0, 1)))
     for x, p in pairs:
         e = _violation(plant_succ[p], cand_succ[x], events)
         if e is not None:
@@ -141,30 +141,32 @@ def supcon(plant: TimedGenerator, spec: Generator,
     plant's eligible events at its plant state against the events leading to
     surviving states.
 
-    The result and its control record are read off the same adjacency,
-    confined to the survivors, so no copy of the product is built.
+    The worklist runs on the product's adjacency as ``_product`` discovers
+    it; no product generator is built.  The result and its control record are
+    read off that adjacency, confined to the survivors.
     """
     events = events or plant.events
     extra = spec.alphabet - plant.alphabet - {TICK}
     if extra:
         raise ValueError(f"spec alphabet exceeds plant alphabet: {sorted(extra)}")
     plant_gen = plant.generator
-    product, pairs = _product([plant_gen, spec],
-                              dict.fromkeys(plant_gen.alphabet | spec.alphabet, (0, 1)))
-    n = product.n_states
-    adj = product.out_edges()
+    alphabet = plant_gen.alphabet | spec.alphabet
+    plant_succ = plant_gen.out_edges()
+    adj, pairs, marked = _product([plant_gen, spec], [plant_succ, spec.out_edges()],
+                                  dict.fromkeys(alphabet, (0, 1)))
+    n = len(adj)
     preds: list[list[int]] = [[] for _ in range(n)]
     for q, edges in enumerate(adj):
         for t in edges.values():
             preds[t].append(q)
     alive = [True] * n
-    plant_succ = plant_gen.out_edges()
 
     def offered(q: int) -> dict[int, int]:
         return {e: t for e, t in adj[q].items() if alive[t]}
 
+    # The product starts at state 0.
     pending = list(range(n))
-    while pending and alive[product.initial]:
+    while pending and alive[0]:
         while pending:
             q = pending.pop()
             if alive[q] and _violation(plant_succ[pairs[q][0]], offered(q),
@@ -172,7 +174,7 @@ def supcon(plant: TimedGenerator, spec: Generator,
                 alive[q] = False
                 pending += preds[q]
         coreachable = [False] * n
-        stack = [q for q in product.marked if alive[q]]
+        stack = [q for q in marked if alive[q]]
         for q in stack:
             coreachable[q] = True
         while stack:
@@ -186,11 +188,11 @@ def supcon(plant: TimedGenerator, spec: Generator,
                 pending += preds[q]
 
     del preds  # freed before the result is built, to keep the peak down
-    if not n or not alive[product.initial]:
-        return Supervisor(Generator(0, product.alphabet, {}, 0, frozenset()), events, (), (), ())
+    if not n or not alive[0]:
+        return Supervisor(Generator(0, alphabet, {}, 0, frozenset()), events, (), (), ())
     for q in range(n):  # confined to the survivors in place, for the same reason
         adj[q] = offered(q) if alive[q] else {}
-    gen, order = _bfs_renumber(product, adj)
+    gen, order = _bfs_renumber(adj, 0, marked, alphabet)
     plant_states = tuple(pairs[q][0] for q in order)  # ``order`` runs in new-state order
     disabled = []
     preempted = []

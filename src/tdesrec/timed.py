@@ -20,13 +20,16 @@ timer values aligned with the sorted ATG alphabet).  Per activity, the
 events whose deadline blocks tick, the timers a tick counts down and each
 move's target and kept timers are tabulated once, so a step is one tuple
 built from the timers, these tables and the default timers.  States are
-numbered in BFS discovery order, tick before the events in label order, and
-the ``TimedState`` records are built once exploration ends.
+numbered in BFS discovery order, tick before the events in label order.
+The ``TimedGenerator`` keeps the packed states, and builds the
+``TimedState`` records only when ``timed_states`` is first read: synthesis,
+localization and solving never read them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .automata import Generator
 from .events import TICK, EventTable
@@ -50,11 +53,27 @@ class TimedState:
 
 @dataclass(frozen=True)
 class TimedGenerator:
-    """A generator over the activity alphabet plus tick, with timed-state metadata."""
+    """A generator over the activity alphabet plus tick, with timed-state metadata.
+
+    ``packed[q]`` is timed state ``q`` as the pair (activity, timer values),
+    the values aligned with ``timer_labels``, the sorted ATG alphabet.  The
+    packed fields take part in equality, so equal timed generators have equal
+    timed states.
+    """
 
     generator: Generator
     events: EventTable
-    timed_states: tuple[TimedState, ...]
+    packed: tuple[tuple[int, tuple[int, ...]], ...]
+    timer_labels: tuple[int, ...]
+
+    @cached_property
+    def timed_states(self) -> tuple[TimedState, ...]:
+        """One ``TimedState`` per state, built from ``packed`` on first read."""
+        labels = self.timer_labels
+        # One shared (label, value) pair per timer value; no timer exceeds its default.
+        pairs = [[(e, v) for v in range(self.events[e].default_timer + 1)] for e in labels]
+        return tuple(TimedState(activity, tuple([p[t] for p, t in zip(pairs, timers)]))
+                     for activity, timers in self.packed)
 
     @property
     def n_states(self) -> int:
@@ -132,13 +151,8 @@ def timed_graph(atg: Generator, events: EventTable,
         sid += 1
     del index
 
-    # One shared (label, value) pair per timer value.
-    pairs = [[(e, v) for v in range(d + 1)] for e, d in zip(labels, defaults)]
-    timed_states = tuple(
-        TimedState(activity, tuple([p[t] for p, t in zip(pairs, timers)]))
-        for activity, timers in states)
     marked = frozenset(i for i, (activity, _) in enumerate(states)
                        if activity in atg.marked)
     gen = Generator(len(states), frozenset(labels) | {TICK}, transitions, 0, marked)
-    return TimedGenerator(gen, events, timed_states)
+    return TimedGenerator(gen, events, tuple(states), tuple(labels))
 

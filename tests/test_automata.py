@@ -7,6 +7,7 @@ import pytest
 from tdesrec.automata import (
     Generator,
     _bfs_renumber,
+    _product,
     allevents,
     is_nonblocking,
     language_equal,
@@ -33,6 +34,7 @@ from util import (
     bounded_language,
     oracle_language_equal,
     oracle_minimal_states,
+    oracle_product,
     oracle_product_membership,
     oracle_project_detail,
     oracle_subset_map,
@@ -231,6 +233,66 @@ class TestProductOracle:
                 in_closed, in_marked = oracle_product_membership(widened, string)
                 assert (string in closed) == in_closed, string
                 assert (string in marked) == in_marked, string
+
+
+def assert_product_matches_oracle(components, movers):
+    """``_product`` equals ``oracle_product`` state for state; returns its adjacency.
+
+    The component tuples come in the same order, each state's transitions in
+    the same order, and the marking is the same.
+    """
+    want, pairs = oracle_product(components, movers)
+    adj, states, marked = _product(components, [c.out_edges() for c in components], movers)
+    assert states == pairs
+    assert [list(edges.items()) for edges in adj] == [
+        list(edges.items()) for edges in want.out_edges()]
+    assert marked == sorted(want.marked)
+    return adj
+
+
+class TestProductStructure:
+    # The product is built as an adjacency over the components' adjacencies;
+    # the tuple-keyed construction it replaced is the reference.  Languages
+    # alone (TestProductOracle) cannot see the numbering.
+    def test_sync_product_matches_oracle(self):
+        rng = random.Random(2001)
+        moved_by_later = 0
+        for _ in range(400):
+            comps = _random_components(rng, rng.randint(2, 4))
+            alphabet = frozenset().union(*(c.alphabet for c in comps))
+            movers = {e: [i for i, c in enumerate(comps) if e in c.alphabet]
+                      for e in alphabet}
+            adj = assert_product_matches_oracle(comps, movers)
+            got, (want, _) = sync_product(comps), oracle_product(comps, movers)
+            assert got == want
+            assert list(got.transitions.items()) == list(want.transitions.items())
+            # Events component 0 does not move, taken in the product.
+            moved_by_later += any(e not in comps[0].alphabet for edges in adj for e in edges)
+        assert moved_by_later >= 100
+
+    def test_meet_matches_oracle(self):
+        rng = random.Random(2002)
+        for _ in range(300):
+            a, b = _random_components(rng, 2)
+            movers = dict.fromkeys(a.alphabet | b.alphabet, (0, 1))
+            assert_product_matches_oracle([a, b], movers)
+            got, (want, _) = meet(a, b), oracle_product([a, b], movers)
+            assert got == want
+            assert list(got.transitions.items()) == list(want.transitions.items())
+
+    def test_language_subset_reads_the_oracle_pairs(self):
+        # The verdict at every state pair the oracle reaches, in its order.
+        rng = random.Random(2003)
+        verdicts = []
+        for _ in range(400):
+            a = random_generator(rng, 4, (1, 2, 3), density=0.6)
+            b = random_generator(rng, 4, (1, 2, 3), density=0.8, marked_p=0.8)
+            _, pairs = oracle_product([a, b], dict.fromkeys(a.alphabet, (0, 1)))
+            want = all((x not in a.marked or y in b.marked) and a.eligible(x) <= b.eligible(y)
+                       for x, y in pairs)
+            assert language_subset(a, b) == want
+            verdicts.append(want)
+        assert 50 <= sum(verdicts) <= 350
 
 
 class TestMeet:
@@ -467,8 +529,9 @@ class TestBfsRenumber:
                 g.initial, g.marked & keep)
             adj = [{e: t for e, t in edges.items() if t in keep} if q in keep else {}
                    for q, edges in enumerate(g.out_edges())]
-            got, got_order = _bfs_renumber(g, adj)
-            want, want_order = _bfs_renumber(confined, confined.out_edges())
+            got, got_order = _bfs_renumber(adj, g.initial, g.marked, g.alphabet)
+            want, want_order = _bfs_renumber(confined.out_edges(), confined.initial,
+                                             confined.marked, confined.alphabet)
             assert got == want
             assert got_order == want_order
             assert list(got.transitions.items()) == list(want.transitions.items())

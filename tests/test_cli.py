@@ -186,6 +186,21 @@ class TestNodeBudget:
         assert out == ""
         assert err == "error: backtracking tree exceeds 200000 nodes\n"
 
+    def test_verify_decentralized_solves_under_the_budget(self, monkeypatch, model_path,
+                                                          capsys):
+        # The bundled problem's tree has 261 nodes, so a budget of 100 stops
+        # the one solve before anything is printed.
+        from tdesrec import cli
+
+        monkeypatch.setattr(cli, "_MAX_NODES", 100)
+        rc = main(["verify-decentralized", model_path, "--components", "M1", "M2",
+                   "--reconfig", "R", "--spec", "SPEC", "--reconfig-event", "91",
+                   "--from", "83", "--to", "516", "--event", "91"])
+        assert rc == EXIT_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: backtracking tree exceeds 100 nodes\n"
+
 
 class TestProjectCommand:
     def test_project_writes_smaller_block(self, tmp_path, tsup_path, capsys):

@@ -20,13 +20,16 @@ from tdesrec.automata import (
 )
 from tdesrec.events import PROHIBITIBLE, TICK, UNCONTROLLABLE, EventDef, EventTable
 from tdesrec.synthesis import Supervisor, controllable, supcon, synthesize_tcrs
-from tdesrec.timed import timed_graph
+from tdesrec.timed import TimedState, timed_graph
 import util
 from util import (
     _oracle_controllable,
+    _oracle_violation,
     oracle_controllability_witness,
+    oracle_product,
     oracle_supcon_rounds,
     oracle_supremal,
+    oracle_timed_graph,
     random_atg,
     random_generator,
     random_spec,
@@ -129,6 +132,12 @@ class TestControllable:
             got = witness and (witness.candidate_state, witness.plant_state, witness.event)
             expected = oracle_controllability_witness(candidate, gen, events)
             assert (ok, got) == (expected is None, expected)
+            # The witness is the first violating pair of the reference product.
+            _, pairs = oracle_product([candidate, gen], dict.fromkeys(
+                candidate.alphabet | gen.alphabet, (0, 1)))
+            assert got == next(((x, p, e) for x, p in pairs
+                                if (e := _oracle_violation(candidate, x, gen, p, events))
+                                is not None), None)
             verdicts.append(ok)
         assert True in verdicts and False in verdicts
 
@@ -189,11 +198,7 @@ class TestSupcon:
             if plant.n_states > 6:
                 continue
             spec = random_spec(rng, plant.generator.alphabet, max_states=2)
-            from tdesrec.automata import _product
-
-            product, _ = _product([plant.generator, spec], dict.fromkeys(
-                plant.generator.alphabet | spec.alphabet, (0, 1)))
-            if product.n_states > 9:
+            if meet(plant.generator, spec).n_states > 9:
                 continue
             sup = supcon(plant, spec, events)
             expected = oracle_supremal(plant, spec, events)
@@ -245,12 +250,69 @@ class TestSupcon:
             checked += 1
         assert min(cases.values()) >= 50, cases
 
+    def test_product_matches_oracle(self, monkeypatch):
+        # supcon's product, before its worklist deletes anything, equals the
+        # reference product state for state.
+        from tdesrec import automata, synthesis
+
+        built = []
+
+        def recorded(components, succ, movers):
+            adj, states, marked = automata._product(components, succ, movers)
+            built.append(([list(edges.items()) for edges in adj], states, marked))
+            return adj, states, marked
+
+        monkeypatch.setattr(synthesis, "_product", recorded)
+        rng = random.Random(2004)
+        checked = 0
+        while checked < 300:
+            atg, events = random_atg(rng, max_activities=4, max_events=3, max_bound=2)
+            try:
+                plant = timed_graph(atg, events, max_states=300)
+            except ValueError:
+                continue
+            spec = random_spec(rng, plant.alphabet, 3)
+            supcon(plant, spec, events)
+            want, pairs = oracle_product([plant.generator, spec], dict.fromkeys(
+                plant.alphabet | spec.alphabet, (0, 1)))
+            assert built.pop() == ([list(edges.items()) for edges in want.out_edges()],
+                                   pairs, sorted(want.marked))
+            checked += 1
+
+    def test_builds_only_what_it_returns(self, monkeypatch, factory_model):
+        # timed_graph builds its generator and supcon its result; neither
+        # builds a product generator or a TimedState record.  The records are
+        # built on the first read of timed_states, equal to the reference's.
+        built = {"Generator": 0, "TimedState": 0}
+
+        def counting(cls, name):
+            original = getattr(cls, name)
+
+            def counted(self, *args, **kwargs):
+                built[cls.__name__] += 1
+                original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, name, counted)
+
+        m = factory_model
+        atg = sync_product([m.atgs["M1"], m.atgs["M2"], m.atgs["R"]])
+        spec = sync_product([allevents(timed_graph(atg, m.events).generator),
+                             m.specs["SPEC"]])
+        counting(Generator, "__post_init__")
+        counting(TimedState, "__init__")
+        plant = timed_graph(atg, m.events)
+        sup = supcon(plant, spec, m.events)
+        assert not sup.is_empty
+        assert built == {"Generator": 2, "TimedState": 0}
+        states = plant.timed_states
+        assert built == {"Generator": 2, "TimedState": plant.n_states}
+        assert plant.timed_states is states
+        assert states == oracle_timed_graph(atg, m.events).timed_states
+
     def test_transition_subset_realization_crosscheck(self):
         # On tiny instances, allowing arbitrary transition removal (not just
         # state removal) must not beat the state-subset supremum.
         from itertools import combinations
-
-        from tdesrec.automata import _product
 
         rng = random.Random(31)
         checked = 0
@@ -262,7 +324,7 @@ class TestSupcon:
             except ValueError:
                 continue
             spec = random_spec(rng, plant.generator.alphabet, max_states=2)
-            product, pairs = _product([plant.generator, spec], dict.fromkeys(
+            product, pairs = oracle_product([plant.generator, spec], dict.fromkeys(
                 plant.generator.alphabet | spec.alphabet, (0, 1)))
             if product.n_states == 0 or len(product.transitions) > 10:
                 continue

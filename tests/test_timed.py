@@ -147,8 +147,9 @@ class TestTimedGraphReference:
 
     def test_packed_construction_matches_dict_oracle(self):
         # Exact equality with the reference construction: the generator, the
-        # transitions in insertion order and every timed state, plus the
-        # state guard at its boundary on both sides.
+        # transitions in insertion order, every timed state (the reference's
+        # own records against ones built from the packing) and the packing,
+        # plus the state guard at its boundary on both sides.
         rng = random.Random(1101)
         cases = dict.fromkeys(("remote", "lower == upper", "lower == 0",
                                "kept across a move", "disabled then re-enabled"), 0)
@@ -167,6 +168,7 @@ class TestTimedGraphReference:
             assert (list(ttg.generator.transitions.items())
                     == list(expected.generator.transitions.items()))
             assert ttg.timed_states == expected.timed_states
+            assert ttg == expected
             n = ttg.n_states
             assert timed_graph(atg, events, max_states=n).timed_states == ttg.timed_states
             assert oracle_timed_graph(atg, events, max_states=n).n_states == n

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable, Mapping, Sequence
 
-from tdesrec.automata import (Generator, ProjectionDetail, _bfs_renumber, _product, _refine,
+from tdesrec.automata import (Generator, ProjectionDetail, _bfs_renumber, _refine,
                               coreachable_states, reachable_states, renumber_bfs,
                               sync_product)
 from tdesrec.events import TICK, PROHIBITIBLE, UNCONTROLLABLE, EventDef, EventTable
@@ -255,7 +255,8 @@ def oracle_project_detail(g: Generator, erase: Iterable[int]) -> ProjectionDetai
     quotient = Generator(max(block) + 1, alphabet,
                          {(block[s], e): block[t] for (s, e), t in gen.transitions.items()},
                          block[gen.initial], frozenset(block[s] for s in gen.marked))
-    final, order = _bfs_renumber(quotient, quotient.out_edges())
+    final, order = _bfs_renumber(quotient.out_edges(), quotient.initial, quotient.marked,
+                                 alphabet)
     to_final = [order[b] for b in block]
     pooled: list[set[int]] = [set() for _ in range(final.n_states)]
     for subset, q in zip(subsets, to_final):
@@ -268,7 +269,10 @@ def oracle_timed_graph(atg: Generator, events: EventTable,
     """``timed.timed_graph`` as first written, with a dict of timers per step.
 
     The reference copy of the forward exploration: every step builds a
-    ``TimedState`` from a fresh dict of the source state's timers.
+    ``TimedState`` from a fresh dict of the source state's timers.  The result
+    holds those states packed, as ``timed_graph`` hands them over, and its
+    ``timed_states`` are the records built here, not ones rebuilt from the
+    packing, so comparing ``timed_states`` compares with this exploration.
 
     Raises ``ValueError`` when an ATG event has no definition, when tick
     appears in the ATG alphabet, or when the state count exceeds
@@ -358,7 +362,10 @@ def oracle_timed_graph(atg: Generator, events: EventTable,
 
     marked = frozenset(i for i, ts in enumerate(states) if ts.activity in atg.marked)
     gen = Generator(len(states), frozenset(labels) | {TICK}, transitions, 0, marked)
-    return TimedGenerator(gen, events, tuple(states))
+    packed = tuple((ts.activity, tuple(v for _, v in ts.timers)) for ts in states)
+    ttg = TimedGenerator(gen, events, packed, tuple(labels))
+    vars(ttg)["timed_states"] = tuple(states)  # the cached_property's slot
+    return ttg
 
 
 def _eligible_sets(g: Generator) -> list[frozenset[int]]:
@@ -393,8 +400,8 @@ def oracle_supcon_rounds(plant: TimedGenerator, spec: Generator,
     if extra:
         raise ValueError(f"spec alphabet exceeds plant alphabet: {sorted(extra)}")
     plant_gen = plant.generator
-    product, pairs = _product([plant_gen, spec],
-                              dict.fromkeys(plant_gen.alphabet | spec.alphabet, (0, 1)))
+    product, pairs = oracle_product([plant_gen, spec],
+                                    dict.fromkeys(plant_gen.alphabet | spec.alphabet, (0, 1)))
     n = product.n_states
     alive = set(range(n))
     adj = product.out_edges()
@@ -437,7 +444,8 @@ def oracle_supcon_rounds(plant: TimedGenerator, spec: Generator,
         return Supervisor(empty, events, (), (), ())
 
     survivors = restricted()
-    gen, order = _bfs_renumber(survivors, survivors.out_edges())
+    gen, order = _bfs_renumber(survivors.out_edges(), survivors.initial, survivors.marked,
+                               survivors.alphabet)
 
     plant_states = [0] * len(order)
     disabled: list[frozenset[int]] = [frozenset()] * len(order)
@@ -568,6 +576,45 @@ class OraclePartition:
         for rank, s in enumerate(sorted(states)):
             assign[s] = (self.block[s], "split", rank)
         self.block = self._normalize(assign)
+
+
+def oracle_product(components: Sequence[Generator], movers: Mapping[int, Sequence[int]]
+                   ) -> tuple[Generator, list[tuple[int, ...]]]:
+    """``automata._product`` as first written, probing ``transitions`` by tuple key.
+
+    The reachable product where event ``e`` moves the components
+    ``movers[e]``, explored in BFS order with every alphabet event tried in
+    increasing order at every state.  Returns the product generator and the
+    component-state tuple of each product state.
+    """
+    alphabet = frozenset(movers)
+    if any(c.is_empty for c in components):
+        return Generator(0, alphabet, {}, 0, frozenset()), []
+    start = tuple(c.initial for c in components)
+    index: dict[tuple[int, ...], int] = {start: 0}
+    queue = deque([start])
+    transitions: dict[tuple[int, int], int] = {}
+    marked: set[int] = set()
+    while queue:
+        state = queue.popleft()
+        sid = index[state]
+        if all(state[i] in c.marked for i, c in enumerate(components)):
+            marked.add(sid)
+        for e in sorted(alphabet):
+            nxt = list(state)
+            for i in movers[e]:
+                dst = components[i].transitions.get((state[i], e))
+                if dst is None:
+                    break
+                nxt[i] = dst
+            else:
+                key = tuple(nxt)
+                if key not in index:
+                    index[key] = len(index)
+                    queue.append(key)
+                transitions[(sid, e)] = index[key]
+    gen = Generator(len(index), alphabet, transitions, 0, frozenset(marked))
+    return gen, list(index)
 
 
 def oracle_product_membership(components: list[Generator],
@@ -820,7 +867,7 @@ def oracle_supremal(plant: TimedGenerator, spec: Generator,
     """
     from tdesrec.automata import language_subset
 
-    product, pairs = _product([plant.generator, spec], dict.fromkeys(
+    product, pairs = oracle_product([plant.generator, spec], dict.fromkeys(
         plant.generator.alphabet | spec.alphabet, (0, 1)))
     n = product.n_states
     plant_gen = plant.generator
