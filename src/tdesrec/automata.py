@@ -201,10 +201,14 @@ def _product(components: Sequence[Generator], succ: Sequence[Sequence[Mapping[in
     index: dict[tuple[int, ...], int] = {start: 0}
     # ``states`` grows while it is walked, so it is the BFS queue.
     states = [start]
+    markings = [c.marked for c in components]
     adj: list[dict[int, int]] = []
     marked: list[int] = []
     for sid, state in enumerate(states):
-        if all(state[i] in c.marked for i, c in enumerate(components)):
+        for q, marking in zip(state, markings):
+            if q not in marking:
+                break
+        else:
             marked.append(sid)
         edges: dict[int, int] = {}
         for e, first, rest in steps:
@@ -391,6 +395,9 @@ def _refine(block: Iterable[Hashable], adj: Sequence[Mapping[int, int]],
     # appearance and a split renames only the states that move.
     first: dict[Hashable, int] = {}
     name = [first.setdefault(k, s) for s, k in enumerate(block)]
+    if len(first) == 1:
+        # One block is stable: every successor lies in it.
+        return [0] * len(name)
     members: dict[int, list[int]] = {}
     for s, b in enumerate(name):
         members.setdefault(b, []).append(s)

@@ -82,13 +82,20 @@ def _split_apart(block: Sequence[int], states: Iterable[int]) -> list[int]:
 
 
 def _controller(gen: Generator, adj: Sequence[Mapping[int, int]], block: Sequence[int],
-                protected: frozenset[int]) -> Generator:
+                protected: frozenset[int], used: Mapping[int, None]) -> Generator:
     """Quotient of the supervisor under a stable partition, as a local controller.
 
     ``adj`` is the supervisor's adjacency; its BFS numbering starts it at 0.
     Events outside ``protected`` whose transitions are self-loops at every
-    block are dropped from the alphabet.
+    block are dropped from the alphabet.  ``used`` holds the events some
+    transition of ``adj`` uses, in order of first use.  Under one block every
+    used event is a self-loop, so that quotient is built from ``used`` alone:
+    events no transition uses stay in the alphabet, as the quotient keeps them.
     """
+    if not any(block):
+        return Generator(1, gen.alphabet - (used.keys() - protected),
+                         {(0, e): 0 for e in used if e in protected}, 0,
+                         frozenset({0}) if gen.marked else frozenset())
     quotient = _quotient(adj, block, gen.marked, gen.alphabet)
     dropped = {e for e in gen.alphabet - protected
                if all(quotient.target(b, e) == b for b in range(quotient.n_states))}
@@ -169,11 +176,12 @@ def timed_localize(pkg: DecentralizationPackage) -> LocalizedSupervisor:
         kind, label, anchor = partitions[0]
         partitions[0] = (kind, label, _refine(_split_apart(anchor, clashes), adj, events_sorted))
 
+    used = dict.fromkeys(e for edges in adj for e in edges)
     tick_controllers = {}
     event_controllers = {}
     for kind, label, block in partitions:
         protected = frozenset({label}) if kind == "event" else frozenset({TICK, label})
-        controller = _controller(gen, adj, block, protected)
+        controller = _controller(gen, adj, block, protected, used)
         if kind == "event":
             event_controllers[label] = controller
         else:

@@ -142,8 +142,10 @@ def supcon(plant: TimedGenerator, spec: Generator,
     surviving states.
 
     The worklist runs on the product's adjacency as ``_product`` discovers
-    it; no product generator is built.  The result and its control record are
-    read off that adjacency, confined to the survivors.
+    it; no product generator is built.  Each deletion removes the deleted
+    state from its live predecessors' adjacency, so a survivor's adjacency
+    is always what it offers.  The result and its control record are read
+    off that adjacency.
     """
     events = events or plant.events
     extra = spec.alphabet - plant.alphabet - {TICK}
@@ -161,18 +163,20 @@ def supcon(plant: TimedGenerator, spec: Generator,
             preds[t].append(q)
     alive = [True] * n
 
-    def offered(q: int) -> dict[int, int]:
-        return {e: t for e, t in adj[q].items() if alive[t]}
+    def delete(q: int) -> None:
+        alive[q] = False
+        for p in preds[q]:
+            if alive[p]:
+                adj[p] = {e: t for e, t in adj[p].items() if t != q}
+        pending.extend(preds[q])
 
     # The product starts at state 0.
     pending = list(range(n))
     while pending and alive[0]:
         while pending:
             q = pending.pop()
-            if alive[q] and _violation(plant_succ[pairs[q][0]], offered(q),
-                                       events) is not None:
-                alive[q] = False
-                pending += preds[q]
+            if alive[q] and _violation(plant_succ[pairs[q][0]], adj[q], events) is not None:
+                delete(q)
         coreachable = [False] * n
         stack = [q for q in marked if alive[q]]
         for q in stack:
@@ -184,21 +188,21 @@ def supcon(plant: TimedGenerator, spec: Generator,
                     stack.append(p)
         for q in range(n):
             if alive[q] and not coreachable[q]:
-                alive[q] = False
-                pending += preds[q]
+                delete(q)
 
     del preds  # freed before the result is built, to keep the peak down
     if not n or not alive[0]:
         return Supervisor(Generator(0, alphabet, {}, 0, frozenset()), events, (), (), ())
-    for q in range(n):  # confined to the survivors in place, for the same reason
-        adj[q] = offered(q) if alive[q] else {}
+    for q in range(n):  # the survivors' adjacency is confined already
+        if not alive[q]:
+            adj[q] = {}
     gen, order = _bfs_renumber(adj, 0, marked, alphabet)
     plant_states = tuple(pairs[q][0] for q in order)  # ``order`` runs in new-state order
+    prohibitible = frozenset(e for e in alphabet if events.is_prohibitible(e))
     disabled = []
     preempted = []
     for q, p in zip(order, plant_states):
-        disabled.append(frozenset(e for e in plant_succ[p]
-                                  if e not in adj[q] and events.is_prohibitible(e)))
+        disabled.append(prohibitible.intersection(plant_succ[p]).difference(adj[q]))
         preempted.append(TICK in plant_succ[p] and TICK not in adj[q])
     return Supervisor(gen, events, plant_states, tuple(disabled), tuple(preempted))
 

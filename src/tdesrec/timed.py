@@ -16,11 +16,15 @@ Marked timed states are those whose activity is marked in the ATG, with no
 restriction on the timer component.
 
 While exploring, a timed state is packed as the pair (activity, tuple of
-timer values aligned with the sorted ATG alphabet).  Per activity, the
-events whose deadline blocks tick, the timers a tick counts down and each
-move's target and kept timers are tabulated once, so a step is one tuple
-built from the timers, these tables and the default timers.  States are
-numbered in BFS discovery order, tick before the events in label order.
+timer values aligned with the sorted ATG alphabet).  Per activity,
+``operator.itemgetter`` pickers are tabulated once.  One picks the deadline
+timers: tick is allowed exactly when none of them is 0.  One picks the
+tick's successor and one per move picks that move's successor, each from the
+timers followed by the default timers, so that index ``i`` keeps timer ``i``
+and index ``n + i`` resets it; a tick first passes the timers through the
+decrement table ``max(t - 1, 0)``.  So each successor tuple is built in C.
+States are numbered in BFS discovery order, tick before the events in label
+order.
 The ``TimedGenerator`` keeps the packed states, and builds the
 ``TimedState`` records only when ``timed_states`` is first read: synthesis,
 localization and solving never read them.
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 from .automata import Generator
 from .events import TICK, EventTable
@@ -84,6 +89,17 @@ class TimedGenerator:
         return self.generator.alphabet
 
 
+def _picker(indices: list[int]) -> itemgetter:
+    """The tuple of a tuple's items at ``indices``, picked in C.
+
+    ``itemgetter`` returns a bare item for one index and refuses none, so
+    those take a slice, which always gives a tuple.
+    """
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return itemgetter(slice(indices[0], indices[0] + 1) if indices else slice(0))
+
+
 def timed_graph(atg: Generator, events: EventTable,
                 max_states: int = DEFAULT_STATE_CAP) -> TimedGenerator:
     """Forward exploration of the timed transition graph of ``atg``.
@@ -101,25 +117,31 @@ def timed_graph(atg: Generator, events: EventTable,
         raise ValueError("cannot build a timed graph from an empty generator")
 
     labels = sorted(atg.alphabet)
+    n = len(labels)
     defs = [events[e] for e in labels]
     defaults = tuple(d.default_timer for d in defs)
     # An enabled event is eligible once its timer is at most its bound.
     bound = {e: 0 if d.is_remote else d.upper - d.lower for e, d in zip(labels, defs)}
     position = {e: i for i, e in enumerate(labels)}
+    # No timer exceeds its default, so the table covers every timer value.
+    decrement = tuple(max(t - 1, 0) for t in range(max(defaults, default=0) + 1)).__getitem__
     adj = atg.out_edges()
     enabled_at = [frozenset(edges) for edges in adj]
-    # Per activity: the timers whose 0 blocks tick, which timers a tick
-    # counts down (the others reset), and the moves in event order.
-    deadlines: list[tuple[int, ...]] = []
-    tick_keep: list[tuple[bool, ...]] = []
-    moves: list[list[tuple[int, int, int, int, tuple[bool, ...]]]] = []
+    # Per activity: the deadline timers, picked from the timers; the tick's
+    # and each move's successor, picked from ``timers + defaults`` (timer
+    # ``i`` kept from position ``i`` or reset from ``n + i``), the tick's
+    # after the timers pass through the decrement table.
+    deadline: list[itemgetter] = []
+    tick: list[itemgetter] = []
+    moves: list[list[tuple[int, int, int, int, itemgetter]]] = []
     for enabled, edges in zip(enabled_at, adj):
-        deadlines.append(tuple(i for i, e in enumerate(labels)
-                               if e in enabled and defs[i].is_prospective))
-        tick_keep.append(tuple(e in enabled for e in labels))
+        deadline.append(_picker([i for i, e in enumerate(labels)
+                                 if e in enabled and defs[i].is_prospective]))
+        tick.append(_picker([i if e in enabled else n + i for i, e in enumerate(labels)]))
         moves.append([
             (e, position[e], bound[e], dst,
-             tuple(f != e and f in enabled and f in enabled_at[dst] for f in labels))
+             _picker([i if f != e and f in enabled and f in enabled_at[dst] else n + i
+                      for i, f in enumerate(labels)]))
             for e, dst in sorted(edges.items())
         ])
 
@@ -131,15 +153,13 @@ def timed_graph(atg: Generator, events: EventTable,
     while sid < len(states):
         activity, timers = states[sid]
         steps = []
-        if all([timers[i] for i in deadlines[activity]]):
-            steps.append((TICK, (activity, tuple([
-                (t - 1 if t else 0) if keep else d
-                for t, keep, d in zip(timers, tick_keep[activity], defaults)]))))
-        for e, i, limit, dst, keep_vector in moves[activity]:
+        if 0 not in deadline[activity](timers):
+            steps.append((TICK, (activity, tick[activity](
+                tuple(map(decrement, timers)) + defaults))))
+        ext = timers + defaults
+        for e, i, limit, dst, pick in moves[activity]:
             if timers[i] <= limit:
-                steps.append((e, (dst, tuple([
-                    t if keep else d
-                    for t, keep, d in zip(timers, keep_vector, defaults)]))))
+                steps.append((e, (dst, pick(ext))))
         for event, state in steps:
             target = index.get(state)
             if target is None:

@@ -247,7 +247,7 @@ def assert_product_matches_oracle(components, movers):
     assert [list(edges.items()) for edges in adj] == [
         list(edges.items()) for edges in want.out_edges()]
     assert marked == sorted(want.marked)
-    return adj
+    return adj, states, marked
 
 
 class TestProductStructure:
@@ -256,19 +256,27 @@ class TestProductStructure:
     # alone (TestProductOracle) cannot see the numbering.
     def test_sync_product_matches_oracle(self):
         rng = random.Random(2001)
-        moved_by_later = 0
+        moved_by_later = no_mark = all_marked = last_blocks = 0
         for _ in range(400):
             comps = _random_components(rng, rng.randint(2, 4))
             alphabet = frozenset().union(*(c.alphabet for c in comps))
             movers = {e: [i for i, c in enumerate(comps) if e in c.alphabet]
                       for e in alphabet}
-            adj = assert_product_matches_oracle(comps, movers)
+            adj, states, marked = assert_product_matches_oracle(comps, movers)
             got, (want, _) = sync_product(comps), oracle_product(comps, movers)
             assert got == want
             assert list(got.transitions.items()) == list(want.transitions.items())
             # Events component 0 does not move, taken in the product.
             moved_by_later += any(e not in comps[0].alphabet for edges in adj for e in edges)
+            # The marking test leaves at its first unmarked component, or
+            # runs through every component.
+            no_mark += bool(states) and not marked
+            all_marked += bool(states) and len(marked) == len(states)
+            last_blocks += len(comps) == 4 and any(
+                all(q in c.marked for q, c in zip(state[:3], comps))
+                and state[3] not in comps[3].marked for state in states)
         assert moved_by_later >= 100
+        assert min(no_mark, all_marked, last_blocks) >= 1, (no_mark, all_marked, last_blocks)
 
     def test_meet_matches_oracle(self):
         rng = random.Random(2002)

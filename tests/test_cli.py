@@ -305,22 +305,26 @@ class TestPipelineStagesOnce:
     # nothing more, its composition being the supervisor.  verify-decentralized
     # checks the closed loop inside timed_localize and again in
     # verify_solution_equivalence; it solves once there and twice in the
-    # commutativity report.
-    @pytest.mark.parametrize("command, extra, loops, solves, products", [
-        ("localize", [], 1, 0, 4),
-        ("localize", ["--ev", "91"], 1, 0, 4),
-        ("verify-decentralized", ["--from", "83", "--to", "516", "--event", "91"], 2, 3, 5),
+    # commutativity report.  A quotient is built only for a controller whose
+    # partition has more than one block (on the factory, 1 of the default
+    # list's 11 and neither of 91's 2), plus one for the projection's minimal
+    # form.
+    @pytest.mark.parametrize("command, extra, loops, solves, products, quotients", [
+        ("localize", [], 1, 0, 4, 1),
+        ("localize", ["--ev", "91"], 1, 0, 4, 0),
+        ("verify-decentralized", ["--from", "83", "--to", "516", "--event", "91"], 2, 3, 5, 2),
     ], ids=["localize", "localize-fallback", "verify-decentralized"])
     def test_plant_built_and_localized_once(self, monkeypatch, model_path, capsys,
-                                            command, extra, loops, solves, products):
-        from tdesrec.automata import sync_product
+                                            command, extra, loops, solves, products, quotients):
+        from tdesrec.automata import _quotient, sync_product
         from tdesrec.localization import (decentralized_closed_loop, timed_localize,
                                           verify_localization)
         from tdesrec.solver import trs
         from tdesrec.synthesis import mode_timed_graph
 
         calls = count_calls(monkeypatch, (mode_timed_graph, timed_localize, verify_localization,
-                                          decentralized_closed_loop, trs, sync_product))
+                                          decentralized_closed_loop, trs, sync_product,
+                                          _quotient))
         rc = main([command, model_path, "--components", "M1", "M2",
                    "--reconfig", "R", "--spec", "SPEC", "--reconfig-event", "91",
                    *extra])
@@ -328,7 +332,7 @@ class TestPipelineStagesOnce:
         assert calls == {"mode_timed_graph": 1, "timed_localize": 1,
                          "verify_localization": loops,
                          "decentralized_closed_loop": loops, "trs": solves,
-                         "sync_product": products}
+                         "sync_product": products, "_quotient": quotients}
 
     # The subset construction is numbered in BFS order and its minimal form
     # keeps that order, so the projection is never renumbered.

@@ -122,11 +122,19 @@ class TestTimedInvariants:
 class TestTimedGraphReference:
     @staticmethod
     def _cases(atg, ttg):
-        """Which timer rules the event steps of ``ttg`` exercise."""
+        """Which timer rules the event steps of ``ttg`` exercise, and which
+        shapes of the per-activity tables its construction meets."""
         events, states = ttg.events, ttg.timed_states
         enabled = [atg.eligible(a) for a in range(atg.n_states)]
         adj = ttg.generator.out_edges()
         seen = set()
+        if len(ttg.timer_labels) == 1:
+            seen.add("one-event alphabet")  # a single timer: no bare item
+        for activity in {state.activity for state in states}:
+            if not any(events[e].is_prospective for e in enabled[activity]):
+                seen.add("no prospective event")  # no timer blocks tick
+            if any(events[e].default_timer == 0 for e in enabled[activity]):
+                seen.add("default 0")  # a timer at 0 on enablement
         for q, edges in enumerate(adj):
             for e, dst in edges.items():
                 if e == TICK:
@@ -134,6 +142,8 @@ class TestTimedGraphReference:
                 d = events[e]
                 seen.add("remote" if d.is_remote else
                          "lower == upper" if d.lower == d.upper else "window")
+                if d.is_prospective and d.upper - d.lower >= 3:
+                    seen.add("bound >= 3")
                 if d.lower == 0:
                     seen.add("lower == 0")
                 before, after = states[q], states[dst]
@@ -153,6 +163,8 @@ class TestTimedGraphReference:
         rng = random.Random(1101)
         cases = dict.fromkeys(("remote", "lower == upper", "lower == 0",
                                "kept across a move", "disabled then re-enabled"), 0)
+        shapes = dict.fromkeys(("one-event alphabet", "no prospective event", "default 0",
+                                "bound >= 3"), 0)
         checked = 0
         while checked < 1000:
             atg, events = random_atg(rng, max_activities=5, max_events=4,
@@ -177,7 +189,9 @@ class TestTimedGraphReference:
                     with pytest.raises(ValueError, match=f"exceeds {n - 1} states"):
                         build(atg, events, max_states=n - 1)
             for case in self._cases(atg, ttg):
-                if case in cases:
-                    cases[case] += 1
+                for counter in (cases, shapes):
+                    if case in counter:
+                        counter[case] += 1
             checked += 1
         assert min(cases.values()) >= 50, cases
+        assert min(shapes.values()) >= 1, shapes
