@@ -2,9 +2,9 @@
 
 Every subcommand reads a model file, runs one pipeline step, and writes
 deterministic output: exit code 0 on success, 2 when a reconfiguration
-problem is unsolvable, 1 on any error.  Synthesized supervisors and other
-timed generators are written back as spec blocks, so later commands can pick
-them up from the produced file.
+problem is unsolvable, 1 on any error, a usage error included.  Synthesized
+supervisors and other timed generators are written back as spec blocks, so
+later commands can pick them up from the produced file.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from .automata import Generator, is_nonblocking, project, sync_product, to_dot
 from .events import TICK, event_name
@@ -21,7 +22,7 @@ from .localization import (
     timed_localize,
     verify_solution_equivalence,
 )
-from .modelfile import ModelError, ModelFile, parse_model, render_model
+from .modelfile import ModelError, ModelFile, _check_block_name, parse_model, render_model
 from .solver import (
     ForciblePathSet,
     ReconfigProblem,
@@ -44,6 +45,33 @@ _MAX_NODES = 200_000
 
 class CliError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, exiting ``EXIT_ERROR`` on a usage error: 2 means unsolvable."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
+def _erase_token(token: str) -> int:
+    """An ``--erase`` token: ``tick`` or an event label."""
+    if token == "tick":
+        return TICK
+    try:
+        return int(token)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an event label or 'tick': {token!r}") from None
+
+
+def _block_name(name: str) -> str:
+    """A ``--name`` the written model file reads back."""
+    try:
+        _check_block_name(name)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return name
 
 
 def _load(path: str) -> ModelFile:
@@ -186,8 +214,7 @@ def cmd_solve(args) -> int:
 def cmd_project(args) -> int:
     model = _load(args.model)
     gen = _block(model, args.block)
-    erase = frozenset(TICK if t == "tick" else int(t) for t in args.erase)
-    result = project(gen, erase & gen.alphabet)
+    result = project(gen, frozenset(args.erase) & gen.alphabet)
     _write_output(model, args.output, "spec", args.name, result)
     return EXIT_OK
 
@@ -283,7 +310,7 @@ def _add_problem_args(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tdesrec",
         description="Timed DES supervisor synthesis and reconfiguration solving")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -291,14 +318,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compose", help="synchronous composition of ATG blocks")
     p.add_argument("model")
     p.add_argument("names", nargs="+", metavar="ATG")
-    p.add_argument("--name", default="COMPOSED")
+    p.add_argument("--name", type=_block_name, default="COMPOSED")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_compose)
 
     p = sub.add_parser("timed-graph", help="timed transition graph of an ATG")
     p.add_argument("model")
     p.add_argument("atg")
-    p.add_argument("--name", default="TTG")
+    p.add_argument("--name", type=_block_name, default="TTG")
     p.add_argument("--max-states", type=int, default=DEFAULT_STATE_CAP)
     p.add_argument("--dot", metavar="FILE",
                    help="also write a GraphViz rendering whose state labels "
@@ -311,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plant", nargs="+", required=True, metavar="ATG",
                    help="plant ATG block(s); composed before timing")
     p.add_argument("--spec", required=True)
-    p.add_argument("--name", default="SUP")
+    p.add_argument("--name", type=_block_name, default="SUP")
     p.add_argument("--max-states", type=int, default=DEFAULT_STATE_CAP)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_supcon)
@@ -319,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth-tcrs", help="full reconfiguration supervisor pipeline")
     p.add_argument("model")
     _add_pipeline_args(p)
-    p.add_argument("--name", default="TCRS")
+    p.add_argument("--name", type=_block_name, default="TCRS")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_synth_tcrs)
 
@@ -336,8 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("project", help="natural projection of a block")
     p.add_argument("model")
     p.add_argument("--block", required=True)
-    p.add_argument("--erase", nargs="+", default=["tick"], metavar="E")
-    p.add_argument("--name", default="PROJECTED")
+    p.add_argument("--erase", nargs="+", type=_erase_token, default=[TICK], metavar="E")
+    p.add_argument("--name", type=_block_name, default="PROJECTED")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_project)
 

@@ -2,9 +2,10 @@
 
 Each prohibitible event gets a local event controller carrying exactly that
 event's enable/disable decisions, and each forcible event a local tick
-controller carrying exactly that event's tick-preemption decisions: the
-supervisor's disablement and preemption record, ``Supervisor.disabled`` and
-``Supervisor.tick_preempted`` (where the forcible event is offered).  A
+controller carrying exactly that event's tick-preemption decisions, both
+read off the plant: a supervisor state withholds what the plant offers at its
+plant state and it does not, an event is disabled where it is withheld, and
+tick is preempted where it is withheld and the forcible event is offered.  A
 controller is a quotient of the supervisor under the partition that
 ``automata._refine`` computes from the labels (owned decision, marked by the
 plant but not by the supervisor): states are merged when they agree on those
@@ -109,14 +110,16 @@ def timed_localize(pkg: DecentralizationPackage) -> LocalizedSupervisor:
 
     The result always passes ``verify_localization``: it is the greedy
     localization when that verifies, and the trivial fallback otherwise.
-    The supervisor must come from ``supcon``, whose record and plant states
-    give the labels.  Raises ``ValueError`` for an empty supervisor, an empty
-    event list, or a supervisor outside the contract every ``supcon`` result
-    meets: its alphabet is the plant's, its states are numbered in BFS order,
-    and it tracks the plant (its initial state tracks the plant's, each of its
-    transitions has a matching plant transition, and each marked state tracks
-    a marked plant state).  The numbering check, the labels, the refinements
-    and the controllers all read one adjacency of the supervisor.
+    The supervisor must come from ``supcon``; its labels are what the plant
+    offers at its plant states and it withholds.  Raises ``ValueError`` for an
+    empty supervisor, an empty event list, or a supervisor outside the
+    contract every ``supcon`` result meets: its alphabet is the plant's, its
+    states are numbered in BFS order, and it tracks the plant (its initial
+    state tracks the plant's, each of its transitions has a matching plant
+    transition, and each marked state tracks a marked plant state).  The
+    numbering check, the labels, the refinements and the controllers read
+    one adjacency of the supervisor, the contract and the labels one of the
+    plant.
     """
     sup = pkg.supervisor
     if sup.is_empty:
@@ -139,25 +142,29 @@ def timed_localize(pkg: DecentralizationPackage) -> LocalizedSupervisor:
         raise ValueError("supervisor states are not numbered in BFS order")
     if plant_states[gen.initial] != plant_gen.initial:
         raise ValueError("supervisor initial state does not track the plant's initial state")
+    plant_adj = plant_gen.out_edges()
+    withheld = []
     demarked = []
     for x, p in enumerate(plant_states):
         if not (0 <= p < plant_gen.n_states):
             raise ValueError(f"supervisor state {x} tracks unknown plant state {p}")
+        plant_edges = plant_adj[p]
         for e, t in adj[x].items():
-            if plant_gen.transitions.get((p, e)) != plant_states[t]:
+            if plant_edges.get(e) != plant_states[t]:
                 raise ValueError(f"supervisor transition {x} -{event_name(e)}-> {t} has no "
                                  f"plant transition {p} -{event_name(e)}-> {plant_states[t]}")
         if x in gen.marked and p not in plant_gen.marked:
             raise ValueError(f"marked supervisor state {x} tracks unmarked plant state {p}")
+        withheld.append(plant_edges.keys() - adj[x].keys())
         demarked.append(p in plant_gen.marked and x not in gen.marked)
     events_sorted = sorted(gen.alphabet)
 
     partitions: list[tuple[str, int, list[int]]] = []
     for alpha in event_targets:
-        labels = [(alpha in sup.disabled[x], demarked[x]) for x in range(gen.n_states)]
+        labels = [(alpha in withheld[x], demarked[x]) for x in range(gen.n_states)]
         partitions.append(("event", alpha, _refine(labels, adj, events_sorted)))
     for beta in tick_targets:
-        labels = [(sup.tick_preempted[x] and beta in adj[x], demarked[x])
+        labels = [(TICK in withheld[x] and beta in adj[x], demarked[x])
                   for x in range(gen.n_states)]
         partitions.append(("tick", beta, _refine(labels, adj, events_sorted)))
 

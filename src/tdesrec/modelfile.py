@@ -176,12 +176,12 @@ def parse_model(text: str) -> ModelFile:
         if section in ("atg", "spec") and current is not None:
             allow_tick = section == "spec"
             if head == "states":
-                if len(fields) != 2 or not fields[1].isdigit():
+                if len(fields) != 2 or not fields[1].isdecimal():
                     err(lineno, "states line needs one nonnegative count")
                     continue
                 current.n_states = int(fields[1])
             elif head == "initial":
-                if len(fields) != 2 or not fields[1].isdigit():
+                if len(fields) != 2 or not fields[1].isdecimal():
                     err(lineno, "initial line needs one state index")
                     continue
                 current.initial = int(fields[1])
@@ -189,7 +189,7 @@ def parse_model(text: str) -> ModelFile:
                 values = []
                 ok = True
                 for tok in fields[1:]:
-                    if not tok.isdigit():
+                    if not tok.isdecimal():
                         err(lineno, f"malformed marked state {tok!r}")
                         ok = False
                         break
@@ -205,7 +205,7 @@ def parse_model(text: str) -> ModelFile:
                 if len(fields) != 4:
                     err(lineno, "trans line needs: source event target")
                     continue
-                if not (fields[1].isdigit() and fields[3].isdigit()):
+                if not (fields[1].isdecimal() and fields[3].isdecimal()):
                     err(lineno, "transition states must be nonnegative integers")
                     continue
                 ev = parse_event_token(fields[2], lineno, allow_tick)
@@ -269,8 +269,18 @@ def parse_model(text: str) -> ModelFile:
     return ModelFile(table, atgs, specs)
 
 
+def _check_block_name(name: str) -> None:
+    """Raise ``ValueError`` unless a block header reads ``name`` back whole."""
+    if name.split() != [name] or "#" in name:
+        raise ValueError(f"block name {name!r} cannot be read back: "
+                         "it must be nonempty, with no whitespace and no '#'")
+
+
 def render_model(model: ModelFile) -> str:
-    """Text form of a model; ``parse_model(render_model(m))`` reproduces ``m``."""
+    """Text form of a model; ``parse_model(render_model(m))`` reproduces ``m``.
+
+    Raises ``ValueError`` for a block name the parser would not read back.
+    """
     lines: list[str] = []
     if len(model.events):
         lines.append("events")
@@ -280,6 +290,7 @@ def render_model(model: ModelFile) -> str:
             lines.append(f"  {d.label} {d.control} {forcible} {d.lower} {upper}")
 
     def emit(kind: str, name: str, gen: Generator) -> None:
+        _check_block_name(name)
         lines.append(f"{kind} {name}")
         lines.append(f"  states {gen.n_states}")
         lines.append(f"  initial {gen.initial}")

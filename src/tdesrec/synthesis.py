@@ -38,21 +38,17 @@ class ControllabilityWitness:
 
 @dataclass(frozen=True)
 class Supervisor:
-    """A synthesized supervisor: trimmed product automaton plus its control record.
+    """A synthesized supervisor: trimmed product automaton plus the plant states it tracks.
 
-    ``plant_states[q]`` is the plant state tracked at supervisor state ``q``;
-    ``disabled[q]`` lists the prohibitible events the supervisor withholds
-    there although the plant could execute them, and ``tick_preempted[q]``
-    records whether tick is plant-eligible but suppressed (necessarily backed
-    by an eligible forcible event).  ``supcon`` fills the record, and
-    ``timed_localize`` builds its controllers' labels from it.
+    ``plant_states[q]`` is the plant state tracked at supervisor state ``q``.
+    The supervisor's control decisions are not stored: an event is disabled
+    at ``q`` when the plant can execute it at ``plant_states[q]`` and ``q``
+    does not offer it, and ``timed_localize`` reads them off the plant.
     """
 
     automaton: Generator
     events: EventTable
     plant_states: tuple[int, ...]
-    disabled: tuple[frozenset[int], ...]
-    tick_preempted: tuple[bool, ...]
 
     @property
     def is_empty(self) -> bool:
@@ -66,17 +62,13 @@ class Supervisor:
     def from_generator(cls, gen: Generator, events: EventTable) -> "Supervisor":
         """Wrap a bare generator (e.g. a projected or localized supervisor).
 
-        No plant is attached, so the result carries no control record: its
-        plant states are its own states, nothing is disabled and no tick is
-        preempted.  The reconfiguration solver needs no record, so it runs on
-        any supervisor-shaped automaton; ``timed_localize`` reads the record
-        and the plant states, so it needs a supervisor from ``supcon`` and
-        refuses one whose plant states do not follow the plant.
+        No plant is attached, so its plant states are its own states.  The
+        reconfiguration solver reads no plant, so it runs on any
+        supervisor-shaped automaton; ``timed_localize`` reads the plant at the
+        plant states, so it needs a supervisor from ``supcon`` and refuses
+        one whose plant states do not follow the plant.
         """
-        n = gen.n_states
-        return cls(gen, events, tuple(range(n)),
-                   tuple(frozenset() for _ in range(n)),
-                   tuple(False for _ in range(n)))
+        return cls(gen, events, tuple(range(gen.n_states)))
 
 
 def _violation(plant_elig: Iterable[int], offered: Collection[int],
@@ -144,8 +136,7 @@ def supcon(plant: TimedGenerator, spec: Generator,
     The worklist runs on the product's adjacency as ``_product`` discovers
     it; no product generator is built.  Each deletion removes the deleted
     state from its live predecessors' adjacency, so a survivor's adjacency
-    is always what it offers.  The result and its control record are read
-    off that adjacency.
+    is always what it offers.  The result is read off that adjacency.
     """
     events = events or plant.events
     extra = spec.alphabet - plant.alphabet - {TICK}
@@ -192,19 +183,13 @@ def supcon(plant: TimedGenerator, spec: Generator,
 
     del preds  # freed before the result is built, to keep the peak down
     if not n or not alive[0]:
-        return Supervisor(Generator(0, alphabet, {}, 0, frozenset()), events, (), (), ())
+        return Supervisor(Generator(0, alphabet, {}, 0, frozenset()), events, ())
     for q in range(n):  # the survivors' adjacency is confined already
         if not alive[q]:
             adj[q] = {}
     gen, order = _bfs_renumber(adj, 0, marked, alphabet)
     plant_states = tuple(pairs[q][0] for q in order)  # ``order`` runs in new-state order
-    prohibitible = frozenset(e for e in alphabet if events.is_prohibitible(e))
-    disabled = []
-    preempted = []
-    for q, p in zip(order, plant_states):
-        disabled.append(prohibitible.intersection(plant_succ[p]).difference(adj[q]))
-        preempted.append(TICK in plant_succ[p] and TICK not in adj[q])
-    return Supervisor(gen, events, plant_states, tuple(disabled), tuple(preempted))
+    return Supervisor(gen, events, plant_states)
 
 
 def mode_timed_graph(component_atgs: Sequence[Generator], reconfig_spec: Generator,

@@ -413,6 +413,59 @@ class TestEmptySupervisor:
         assert capsys.readouterr().err == err
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv, message", [
+        (["solve", "{model}", "--supervisor", "M1", "--to", "0", "--event", "11"],
+         "error: the following arguments are required: --from"),
+        (["solve", "{model}", "--supervisor", "M1", "--from", "x", "--to", "0", "--event", "11"],
+         "error: argument --from: invalid int value: 'x'"),
+        (["bogus"], "error: argument command: invalid choice: 'bogus'"),
+        (["project", "{model}", "--block", "M1", "--erase", "foo"],
+         "error: argument --erase: not an event label or 'tick': 'foo'"),
+    ], ids=["missing-from", "bad-from", "unknown-command", "bad-erase"])
+    def test_usage_error_exits_1(self, model_path, capsys, argv, message):
+        # Exit code 2 says a problem is unsolvable, so a usage error exits 1.
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(model=model_path) for a in argv])
+        assert exc.value.code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("usage: tdesrec")
+        assert message in err.splitlines()[-1]
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["project", "--help"])
+        assert exc.value.code == EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: tdesrec project")
+
+    def test_erase_takes_tick_and_labels(self, model_path, capsys):
+        assert main(["project", model_path, "--block", "M1", "--erase", "tick", "11"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "trans" in out and not re.search(r"trans \d+ 11 ", out)
+
+
+class TestBlockNames:
+    @pytest.mark.parametrize("command", [
+        ["compose", "{model}", "M1", "M2", "-o", "{out}"],
+        ["timed-graph", "{model}", "M1", "--dot", "{dot}", "-o", "{out}"],
+    ], ids=["compose", "timed-graph"])
+    @pytest.mark.parametrize("name", ["R MACH", "A#B", ""], ids=["space", "hash", "empty"])
+    def test_unreadable_name_refused_before_writing(self, tmp_path, model_path, capsys,
+                                                    command, name):
+        # A block header could not read such a name back, so export-dot
+        # would report the written file as broken.
+        out, dot = tmp_path / "x.tdes", tmp_path / "x.dot"
+        args = [a.format(model=model_path, out=out, dot=dot) for a in command]
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--name", name])
+        assert exc.value.code == EXIT_ERROR
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert errors == [f"tdesrec {command[0]}: error: argument --name: block name {name!r} "
+                          "cannot be read back: it must be nonempty, with no whitespace "
+                          "and no '#'"]
+        assert not out.exists() and not dot.exists()
+
+
 class TestLibraryErrors:
     @pytest.mark.parametrize("exc", [RuntimeError("stuck"),
                                      RecursionError("maximum recursion depth exceeded"),

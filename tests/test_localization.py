@@ -29,8 +29,9 @@ from tdesrec.localization import (
 from tdesrec.solver import ReconfigProblem, trs, verify_projection_commutativity
 from tdesrec.synthesis import Supervisor, supcon
 from tdesrec.timed import timed_graph
-from util import (OraclePartition, oracle_nested_tdrs, oracle_replay_side,
-                  oracle_state_witness, random_pipeline_supervisor, sample_problems)
+from util import (OraclePartition, oracle_control_record, oracle_nested_tdrs,
+                  oracle_replay_side, oracle_state_witness, random_pipeline_supervisor,
+                  sample_problems)
 
 
 def single_loop_package():
@@ -54,6 +55,42 @@ def random_package(rng, max_events=4, max_states=None):
     if not ev:
         return None
     return DecentralizationPackage(ttg, sup, ev)
+
+
+def record_refine_labels(monkeypatch) -> list:
+    """The labels each ``_refine`` call in ``timed_localize`` starts from, in call order."""
+    calls = []
+
+    def recorded(labels, adj, events):
+        calls.append(list(labels))
+        return _refine(labels, adj, events)
+
+    monkeypatch.setattr(localization, "_refine", recorded)
+    return calls
+
+
+def labels_from_record(pkg) -> list:
+    """Each partition's starting labels, built from the reference control record."""
+    sup = pkg.supervisor
+    gen = sup.automaton
+    ev = sup.events
+    disabled, preempted = oracle_control_record(sup, pkg.plant)
+    plant_marked = pkg.plant.generator.marked
+    demarked = [p in plant_marked and x not in gen.marked
+                for x, p in enumerate(sup.plant_states)]
+    states = range(gen.n_states)
+    labels = [[(alpha in disabled[x], demarked[x]) for x in states]
+              for alpha in sorted(e for e in pkg.event_list if ev.is_prohibitible(e))]
+    labels += [[(preempted[x] and gen.target(x, beta) is not None, demarked[x]) for x in states]
+               for beta in sorted(e for e in pkg.event_list if ev.is_forcible(e))]
+    return labels
+
+
+def assert_labels_follow_the_record(calls, pkg, context=None):
+    """Every partition starts from the record's labels; disambiguation may refine once more."""
+    expected = labels_from_record(pkg)
+    assert calls[:len(expected)] == expected, context
+    assert len(calls) - len(expected) in (0, 1), context
 
 
 def assert_replay_is_membership(pkg, loc, problem, witness):
@@ -134,7 +171,7 @@ class TestTimedLocalize:
             if pkg is None:
                 continue
             sup = pkg.supervisor
-            deciders = sorted({e for d in sup.disabled for e in d})
+            deciders = sorted({e for d in oracle_control_record(sup, pkg.plant)[0] for e in d})
             loc = timed_localize(pkg)
             if loc.used_fallback:
                 continue
@@ -206,9 +243,22 @@ class TestTimedLocalize:
         witness = oracle_state_witness(factory_supervisor.automaton, factory_problem.source)
         assert_replay_is_membership(pkg, loc, factory_problem, witness)
 
+    @pytest.mark.parametrize("event_list", [None, {91}, {31, 91}, {13, 23}])
+    def test_labels_follow_the_control_record(self, monkeypatch, factory_ttg,
+                                              factory_supervisor, event_list):
+        # The decisions read off the plant are the record supcon used to keep
+        # (DECISIONS.md, "Control decisions are read off the plant").
+        calls = record_refine_labels(monkeypatch)
+        ev = frozenset(event_list) if event_list else default_event_list(factory_supervisor)
+        pkg = DecentralizationPackage(factory_ttg, factory_supervisor, ev)
+        timed_localize(pkg)
+        assert_labels_follow_the_record(calls, pkg)
+        # Event 31 is disabled somewhere, so the default list's labels decide.
+        assert event_list or any(d for labels in calls for d, _ in labels)
+
     def test_supervisor_that_does_not_track_the_plant_rejected(self, factory_ttg,
                                                                factory_supervisor):
-        # A wrapped generator carries no record: its plant states are its own
+        # A wrapped generator tracks no plant: its plant states are its own
         # states, which the factory plant's transitions do not follow.
         wrapped = Supervisor.from_generator(factory_supervisor.automaton,
                                             factory_supervisor.events)
@@ -232,8 +282,8 @@ class TestTimedLocalize:
             timed_localize(pkg)
 
     def test_supervisor_out_of_bfs_order_rejected(self, factory_ttg, factory_supervisor):
-        # States and record permuted alike still track the plant; only the
-        # numbering is off.
+        # States and plant states permuted alike still track the plant; only
+        # the numbering is off.
         sup = factory_supervisor
         gen = sup.automaton
         new = [0] + list(range(gen.n_states - 1, 0, -1))  # new[old]
@@ -241,10 +291,7 @@ class TestTimedLocalize:
         permuted = Generator(gen.n_states, gen.alphabet,
                              {(new[s], e): new[t] for (s, e), t in gen.transitions.items()},
                              new[gen.initial], frozenset(new[q] for q in gen.marked))
-        shuffled = Supervisor(permuted, sup.events,
-                              tuple(sup.plant_states[q] for q in old),
-                              tuple(sup.disabled[q] for q in old),
-                              tuple(sup.tick_preempted[q] for q in old))
+        shuffled = Supervisor(permuted, sup.events, tuple(sup.plant_states[q] for q in old))
         pkg = DecentralizationPackage(factory_ttg, shuffled, default_event_list(sup))
         with pytest.raises(ValueError, match="not numbered in BFS order"):
             timed_localize(pkg)
@@ -451,7 +498,8 @@ class TestEveryDistribution:
         # is the composition of the two composed sides (for a fallback, of
         # copies of the supervisor), and the report's alphabet flags are what
         # the replay through each side finds.  The sweep meets localizations
-        # that disambiguate, whose single refinement the identity checks.
+        # that disambiguate, whose single refinement the identity checks, and
+        # every refinement starts from the labels of the reference record.
         # Criterion-7 package settings.
         disambiguated = []
 
@@ -460,6 +508,7 @@ class TestEveryDistribution:
             return _split_apart(block, states)
 
         monkeypatch.setattr(localization, "_split_apart", split_apart)
+        calls = record_refine_labels(monkeypatch)
         rng = random.Random(2026)
         packages = localizations = fallbacks = compared = replayed = 0
         flags = set()
@@ -492,7 +541,9 @@ class TestEveryDistribution:
             for size in range(1, len(events) + 1):
                 for sub in itertools.combinations(events, size):
                     sub_pkg = DecentralizationPackage(pkg.plant, sup, frozenset(sub))
+                    calls.clear()
                     loc = timed_localize(sub_pkg)
+                    assert_labels_follow_the_record(calls, sub_pkg, sub)
                     assert verify_localization(sub_pkg, loc), sub
                     assert loc.tdrs == oracle_nested_tdrs(loc), sub
                     if decided is not None:

@@ -84,6 +84,22 @@ class TestParse:
         with pytest.raises(ModelError, match="duplicate transition"):
             parse_model(text)
 
+    @pytest.mark.parametrize("body, message", [
+        ("  states \u00b2\n  initial 0\n", "states line needs one nonnegative count"),
+        ("  states 1\n  initial \u00b2\n", "initial line needs one state index"),
+        ("  states 1\n  initial 0\n  marked \u00b2\n", "malformed marked state '\u00b2'"),
+        ("  states 1\n  initial 0\n  trans 0 5 \u00b2\n",
+         "transition states must be nonnegative integers"),
+    ], ids=["states", "initial", "marked", "trans"])
+    def test_non_decimal_digit_is_positioned(self, body, message):
+        # A superscript two is a digit to str.isdigit, but int() refuses it.
+        text = "events\n  5 prohibitible - 0 inf\natg A\n" + body
+        line = 4 + next(i for i, row in enumerate(body.splitlines()) if "\u00b2" in row)
+        with pytest.raises(ModelError) as exc:
+            parse_model(text)
+        first = exc.value.diagnostics[0]
+        assert (first.line, first.message) == (line, message)
+
     def test_out_of_range_states(self):
         text = ("events\n  5 prohibitible - 0 inf\n"
                 "atg A\n  states 1\n  initial 3\n  trans 0 5 0\n")
@@ -92,6 +108,13 @@ class TestParse:
 
 
 class TestRoundTrip:
+    @pytest.mark.parametrize("name", ["R MACH", "A#B", "", " A"])
+    def test_unreadable_block_name_refused(self, name):
+        gen = Generator(1, frozenset(), {}, 0, frozenset({0}))
+        model = ModelFile(parse_model(GOOD).events, {name: gen})
+        with pytest.raises(ValueError, match="cannot be read back"):
+            render_model(model)
+
     def test_round_trip_good_model(self):
         model = parse_model(GOOD)
         again = parse_model(render_model(model))

@@ -25,7 +25,7 @@ from tdesrec.solver import (
     verify_projection_commutativity,
 )
 from tdesrec.synthesis import controllable
-from util import oracle_state_witness
+from util import oracle_control_record, oracle_state_witness
 
 OPERATIONAL = (23, 33, 12, 31)
 
@@ -60,10 +60,11 @@ class TestSupervisor:
         assert ok, witness
         assert is_nonblocking(sup.automaton)
 
-    def test_supervisor_exercises_control(self, factory_supervisor):
+    def test_supervisor_exercises_control(self, factory_ttg, factory_supervisor):
         # The behavioral specification forbids committing before the machine
         # shutdown, so event 31 must be disabled somewhere.
-        assert any(31 in d for d in factory_supervisor.disabled)
+        disabled, _ = oracle_control_record(factory_supervisor, factory_ttg)
+        assert any(31 in d for d in disabled)
 
     def test_problem_states_exist(self, factory_problem):
         sup = factory_problem.supervisor

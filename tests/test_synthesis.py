@@ -158,7 +158,8 @@ class TestSupcon:
             sup = supcon(plant, empty)
             assert sup.is_empty
             assert sup.automaton == Generator(0, plant.generator.alphabet, {}, 0, frozenset())
-            assert sup.plant_states == sup.disabled == sup.tick_preempted == ()
+            assert sup.plant_states == ()
+            assert util.oracle_control_record(sup, plant) == ((), ())
 
     def test_controllable_predecessor_removed(self):
         # The plant can enter a trap through controllable 3; behind it an
@@ -406,9 +407,10 @@ class TestSupcon:
         lifted = sync_product([allevents(plant.generator), spec])
         sup = supcon(plant, lifted)
         assert not sup.is_empty
-        assert any(1 in d for d in sup.disabled)
+        disabled, preempted = util.oracle_control_record(sup, plant)
+        assert any(1 in d for d in disabled)
         # The plant still ticks; tick is never preempted here.
-        assert not any(sup.tick_preempted)
+        assert not any(preempted)
 
 
 class TestSynthesizeTcrs:

@@ -441,26 +441,39 @@ def oracle_supcon_rounds(plant: TimedGenerator, spec: Generator,
 
     if not alive or product.initial not in alive:
         empty = Generator(0, product.alphabet, {}, 0, frozenset())
-        return Supervisor(empty, events, (), (), ())
+        return Supervisor(empty, events, ())
 
     survivors = restricted()
     gen, order = _bfs_renumber(survivors.out_edges(), survivors.initial, survivors.marked,
                                survivors.alphabet)
 
     plant_states = [0] * len(order)
-    disabled: list[frozenset[int]] = [frozenset()] * len(order)
-    preempted = [False] * len(order)
     for old, new in order.items():
-        p = pairs[old][0]
-        plant_states[new] = p
-        offered = survivor_eligible(old)
+        plant_states[new] = pairs[old][0]
+    return Supervisor(gen, events, tuple(plant_states))
+
+
+def oracle_control_record(sup: Supervisor, plant: TimedGenerator
+                          ) -> tuple[tuple[frozenset[int], ...], tuple[bool, ...]]:
+    """The control record ``supcon`` used to keep, from the supervisor and its plant.
+
+    Per supervisor state ``x``: the prohibitible events the plant can execute
+    at ``sup.plant_states[x]`` that ``x`` does not offer, and whether tick is
+    plant-eligible there but not offered.  Localization's labels must follow
+    it; it is computed from the transition maps, not from ``out_edges``.
+    """
+    events = sup.events
+    plant_elig = _eligible_sets(plant.generator)
+    offered_at = _eligible_sets(sup.automaton)
+    disabled = []
+    preempted = []
+    for offered, p in zip(offered_at, sup.plant_states):
         pe = plant_elig[p]
-        disabled[new] = frozenset(
+        disabled.append(frozenset(
             e for e in pe if e not in offered and events.is_prohibitible(e)
-        )
-        preempted[new] = TICK in pe and TICK not in offered
-    return Supervisor(gen, events, tuple(plant_states), tuple(disabled),
-                      tuple(preempted))
+        ))
+        preempted.append(TICK in pe and TICK not in offered)
+    return tuple(disabled), tuple(preempted)
 
 
 def oracle_subset_map(g: Generator, erase: frozenset[int],
