@@ -39,6 +39,6 @@ from .synthesis import (
     supcon,
     synthesize_tcrs,
 )
-from .timed import TimedGenerator, TimedState, timed_graph
+from .timed import TimedGenerator, timed_graph
 
 __version__ = "0.1.0"

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import NoReturn
+from typing import Callable, NoReturn
 
 from .automata import Generator, is_nonblocking, project, sync_product, to_dot
 from .events import TICK, event_name
@@ -22,7 +22,8 @@ from .localization import (
     timed_localize,
     verify_solution_equivalence,
 )
-from .modelfile import ModelError, ModelFile, _check_block_name, parse_model, render_model
+from .modelfile import (ModelError, ModelFile, _check_block_name, _read_event_token,
+                        parse_model, render_model)
 from .solver import (
     ForciblePathSet,
     ReconfigProblem,
@@ -55,14 +56,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _erase_token(token: str) -> int:
-    """An ``--erase`` token: ``tick`` or an event label."""
-    if token == "tick":
-        return TICK
-    try:
-        return int(token)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an event label or 'tick': {token!r}") from None
+def _event_type(allow_tick: bool) -> Callable[[str], int]:
+    """An argparse type reading an event as a model file's block does: a
+    positive label, or ``tick`` where ``allow_tick``."""
+    expected = "an event label or 'tick'" if allow_tick else "an event label"
+
+    def event(token: str) -> int:
+        try:
+            return _read_event_token(token, allow_tick)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not {expected}: {token!r}") from None
+
+    return event
 
 
 def _block_name(name: str) -> str:
@@ -112,18 +117,29 @@ def _write_text(path: str, text: str) -> None:
         raise CliError(f"cannot write {path}: {exc}") from exc
 
 
-def _write_output(model: ModelFile, out: str | None, kind: str, name: str,
-                  gen: Generator) -> None:
-    result = ModelFile(model.events,
-                       {name: gen} if kind == "atg" else {},
-                       {name: gen} if kind == "spec" else {})
-    text = render_model(result)
+def _model_text(model: ModelFile, kind: str, name: str, gen: Generator) -> str:
+    """A model file with ``model``'s events and ``gen`` as its one block."""
+    return render_model(ModelFile(model.events,
+                                  {name: gen} if kind == "atg" else {},
+                                  {name: gen} if kind == "spec" else {}))
+
+
+def _report_output(out: str | None, kind: str, name: str, gen: Generator,
+                   text: str) -> None:
+    """Say that ``text`` was written to ``out``, or print it when there is none."""
     if out:
-        _write_text(out, text)
         print(f"wrote {kind} {name!r} ({gen.n_states} states, "
               f"{len(gen.transitions)} transitions) to {out}")
     else:
         sys.stdout.write(text)
+
+
+def _write_output(model: ModelFile, out: str | None, kind: str, name: str,
+                  gen: Generator) -> None:
+    text = _model_text(model, kind, name, gen)
+    if out:
+        _write_text(out, text)
+    _report_output(out, kind, name, gen, text)
 
 
 def _synthesize(model: ModelFile, args) -> tuple[TimedGenerator, Supervisor]:
@@ -151,31 +167,42 @@ def _print_paths(paths: ForciblePathSet, optimal: str | None) -> None:
         print(",".join(event_name(e) for e in p))
 
 
-def cmd_compose(args) -> int:
-    model = _load(args.model)
+def cmd_compose(model: ModelFile, args) -> int:
     parts = [_atg(model, n) for n in args.names]
     result = sync_product(parts)
     _write_output(model, args.output, "atg", args.name, result)
     return EXIT_OK
 
 
-def cmd_timed_graph(args) -> int:
-    model = _load(args.model)
+def cmd_timed_graph(model: ModelFile, args) -> int:
     atg = _atg(model, args.atg)
     ttg = timed_graph(atg, model.events, max_states=args.max_states)
+    gen = ttg.generator
+    text = _model_text(model, "spec", args.name, gen)
     if args.dot:
-        labels = {
-            i: f"{ts.activity}|" + ",".join(f"{e}:{t}" for e, t in ts.timers)
-            for i, ts in enumerate(ttg.timed_states)
-        }
-        _write_text(args.dot, to_dot(ttg.generator, args.name, labels) + "\n")
+        # Each state reads activity|event:timer, timers in label order.
+        events = sorted(gen.alphabet - {TICK})
+        labels = {q: f"{activity}|" + ",".join(f"{e}:{t}" for e, t in zip(events, timers))
+                  for q, (activity, timers) in enumerate(ttg.packed)}
+        dot = to_dot(gen, args.name, labels) + "\n"
+    # Both texts are rendered before either file is written, and the model
+    # file is removed again if the DOT file cannot be written: a command that
+    # fails leaves neither file.
+    if args.output:
+        _write_text(args.output, text)
+    if args.dot:
+        try:
+            _write_text(args.dot, dot)
+        except CliError:
+            if args.output:
+                Path(args.output).unlink()
+            raise
         print(f"wrote timer-annotated graph to {args.dot}")
-    _write_output(model, args.output, "spec", args.name, ttg.generator)
+    _report_output(args.output, "spec", args.name, gen, text)
     return EXIT_OK
 
 
-def cmd_supcon(args) -> int:
-    model = _load(args.model)
+def cmd_supcon(model: ModelFile, args) -> int:
     atg = sync_product([_atg(model, n) for n in args.plant])
     plant = timed_graph(atg, model.events, max_states=args.max_states)
     spec = _spec(model, args.spec)
@@ -187,8 +214,7 @@ def cmd_supcon(args) -> int:
     return EXIT_OK
 
 
-def cmd_synth_tcrs(args) -> int:
-    model = _load(args.model)
+def cmd_synth_tcrs(model: ModelFile, args) -> int:
     _, sup = _synthesize(model, args)
     if sup.is_empty:
         print("warning: no admissible behavior", file=sys.stderr)
@@ -197,8 +223,7 @@ def cmd_synth_tcrs(args) -> int:
     return EXIT_OK
 
 
-def cmd_solve(args) -> int:
-    model = _load(args.model)
+def cmd_solve(model: ModelFile, args) -> int:
     sup = _supervisor_from_block(model, args.supervisor)
     problem = ReconfigProblem(sup, args.source, args.target, args.event)
     paths = trs(problem, _MAX_NODES)
@@ -211,16 +236,14 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def cmd_project(args) -> int:
-    model = _load(args.model)
+def cmd_project(model: ModelFile, args) -> int:
     gen = _block(model, args.block)
     result = project(gen, frozenset(args.erase) & gen.alphabet)
     _write_output(model, args.output, "spec", args.name, result)
     return EXIT_OK
 
 
-def cmd_localize(args) -> int:
-    model = _load(args.model)
+def cmd_localize(model: ModelFile, args) -> int:
     plant, sup = _synthesize(model, args)
     if sup.is_empty:
         raise CliError("no admissible behavior; nothing to localize")
@@ -248,8 +271,7 @@ def cmd_localize(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify_commutativity(args) -> int:
-    model = _load(args.model)
+def cmd_verify_commutativity(model: ModelFile, args) -> int:
     sup = _supervisor_from_block(model, args.supervisor)
     problem = ReconfigProblem(sup, args.source, args.target, args.event)
     report = verify_projection_commutativity(problem, _MAX_NODES)
@@ -258,8 +280,7 @@ def cmd_verify_commutativity(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify_decentralized(args) -> int:
-    model = _load(args.model)
+def cmd_verify_decentralized(model: ModelFile, args) -> int:
     plant, sup = _synthesize(model, args)
     if sup.is_empty:
         raise CliError("no admissible behavior")
@@ -279,8 +300,7 @@ def cmd_verify_decentralized(args) -> int:
     return EXIT_OK
 
 
-def cmd_export_dot(args) -> int:
-    model = _load(args.model)
+def cmd_export_dot(model: ModelFile, args) -> int:
     gen = _block(model, args.block)
     dot = to_dot(gen, name=args.block)
     if args.output:
@@ -298,7 +318,7 @@ def _add_pipeline_args(p: argparse.ArgumentParser) -> None:
                    help="reconfiguration specification block")
     p.add_argument("--spec", required=True, metavar="SPEC",
                    help="behavioral specification block")
-    p.add_argument("--reconfig-event", type=int, action="append",
+    p.add_argument("--reconfig-event", type=_event_type(False), action="append",
                    metavar="E", help="declared reconfiguration event (repeatable)")
     p.add_argument("--max-states", type=int, default=DEFAULT_STATE_CAP)
 
@@ -306,7 +326,7 @@ def _add_pipeline_args(p: argparse.ArgumentParser) -> None:
 def _add_problem_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--from", dest="source", type=int, required=True, metavar="Q")
     p.add_argument("--to", dest="target", type=int, required=True, metavar="Q")
-    p.add_argument("--event", type=int, required=True, metavar="E")
+    p.add_argument("--event", type=_event_type(False), required=True, metavar="E")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -363,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("project", help="natural projection of a block")
     p.add_argument("model")
     p.add_argument("--block", required=True)
-    p.add_argument("--erase", nargs="+", type=_erase_token, default=[TICK], metavar="E")
+    p.add_argument("--erase", nargs="+", type=_event_type(True), default=[TICK], metavar="E")
     p.add_argument("--name", type=_block_name, default="PROJECTED")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_project)
@@ -371,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("localize", help="decentralize a synthesized supervisor")
     p.add_argument("model")
     _add_pipeline_args(p)
-    p.add_argument("--ev", nargs="+", type=int, metavar="E",
+    p.add_argument("--ev", nargs="+", type=_event_type(False), metavar="E",
                    help="events to localize on (default: prohibitible+forcible)")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_localize)
@@ -387,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="centralized and decentralized solutions coincide")
     p.add_argument("model")
     _add_pipeline_args(p)
-    p.add_argument("--ev", nargs="+", type=int, metavar="E")
+    p.add_argument("--ev", nargs="+", type=_event_type(False), metavar="E")
     _add_problem_args(p)
     p.set_defaults(func=cmd_verify_decentralized)
 
@@ -404,7 +424,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_load(args.model), args)
     except (CliError, ValueError, RuntimeError) as exc:
         # RuntimeError covers RecursionError from the library on deep inputs.
         print(f"error: {exc}", file=sys.stderr)

@@ -80,6 +80,22 @@ class _BlockBuilder:
         self.trans: list[tuple[int, int, int, int]] = []  # (line, src, event, dst)
 
 
+def _read_event_token(token: str, allow_tick: bool) -> int:
+    """The event ``token`` names in a block: a positive label, or ``tick``
+    where ``allow_tick`` (a spec block's); ``ValueError`` says why not."""
+    if token == "tick":
+        if not allow_tick:
+            raise ValueError("tick is not allowed in an ATG block")
+        return TICK
+    try:
+        value = int(token)
+    except ValueError:
+        raise ValueError(f"malformed event label {token!r}") from None
+    if value <= 0:
+        raise ValueError(f"event label must be positive, got {token}")
+    return value
+
+
 def parse_model(text: str) -> ModelFile:
     """Parse a model file; raises ``ModelError`` with positioned diagnostics."""
     diagnostics: list[Diagnostic] = []
@@ -91,22 +107,6 @@ def parse_model(text: str) -> ModelFile:
 
     def err(line: int, message: str) -> None:
         diagnostics.append(Diagnostic(line, message))
-
-    def parse_event_token(token: str, line: int, allow_tick: bool) -> int | None:
-        if token == "tick":
-            if not allow_tick:
-                err(line, "tick is not allowed in an ATG block")
-                return None
-            return TICK
-        try:
-            value = int(token)
-        except ValueError:
-            err(line, f"malformed event label {token!r}")
-            return None
-        if value <= 0:
-            err(line, f"event label must be positive, got {token}")
-            return None
-        return value
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
@@ -198,9 +198,10 @@ def parse_model(text: str) -> ModelFile:
                     current.marked.extend(values)
             elif head == "alphabet":
                 for tok in fields[1:]:
-                    ev = parse_event_token(tok, lineno, allow_tick)
-                    if ev is not None:
-                        current.alphabet.append(ev)
+                    try:
+                        current.alphabet.append(_read_event_token(tok, allow_tick))
+                    except ValueError as exc:
+                        err(lineno, str(exc))
             elif head == "trans":
                 if len(fields) != 4:
                     err(lineno, "trans line needs: source event target")
@@ -208,8 +209,10 @@ def parse_model(text: str) -> ModelFile:
                 if not (fields[1].isdecimal() and fields[3].isdecimal()):
                     err(lineno, "transition states must be nonnegative integers")
                     continue
-                ev = parse_event_token(fields[2], lineno, allow_tick)
-                if ev is None:
+                try:
+                    ev = _read_event_token(fields[2], allow_tick)
+                except ValueError as exc:
+                    err(lineno, str(exc))
                     continue
                 current.trans.append((lineno, int(fields[1]), ev, int(fields[3])))
             else:

@@ -25,15 +25,12 @@ and index ``n + i`` resets it; a tick first passes the timers through the
 decrement table ``max(t - 1, 0)``.  So each successor tuple is built in C.
 States are numbered in BFS discovery order, tick before the events in label
 order.
-The ``TimedGenerator`` keeps the packed states, and builds the
-``TimedState`` records only when ``timed_states`` is first read: synthesis,
-localization and solving never read them.
+The ``TimedGenerator`` keeps the states in this packed form only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from operator import itemgetter
 
 from .automata import Generator
@@ -43,42 +40,18 @@ DEFAULT_STATE_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
-class TimedState:
-    """An activity of the source ATG plus the current timer of each event."""
-
-    activity: int
-    timers: tuple[tuple[int, int], ...]
-
-    def timer(self, label: int) -> int:
-        for lbl, value in self.timers:
-            if lbl == label:
-                return value
-        raise KeyError(label)
-
-
-@dataclass(frozen=True)
 class TimedGenerator:
-    """A generator over the activity alphabet plus tick, with timed-state metadata.
+    """A generator over the activity alphabet plus tick, with its timed states.
 
     ``packed[q]`` is timed state ``q`` as the pair (activity, timer values),
-    the values aligned with ``timer_labels``, the sorted ATG alphabet.  The
-    packed fields take part in equality, so equal timed generators have equal
-    timed states.
+    the values aligned with the sorted ATG alphabet,
+    ``sorted(generator.alphabet - {TICK})``.  ``packed`` takes part in
+    equality, so equal timed generators have equal timed states.
     """
 
     generator: Generator
     events: EventTable
     packed: tuple[tuple[int, tuple[int, ...]], ...]
-    timer_labels: tuple[int, ...]
-
-    @cached_property
-    def timed_states(self) -> tuple[TimedState, ...]:
-        """One ``TimedState`` per state, built from ``packed`` on first read."""
-        labels = self.timer_labels
-        # One shared (label, value) pair per timer value; no timer exceeds its default.
-        pairs = [[(e, v) for v in range(self.events[e].default_timer + 1)] for e in labels]
-        return tuple(TimedState(activity, tuple([p[t] for p, t in zip(pairs, timers)]))
-                     for activity, timers in self.packed)
 
     @property
     def n_states(self) -> int:
@@ -174,5 +147,5 @@ def timed_graph(atg: Generator, events: EventTable,
     marked = frozenset(i for i, (activity, _) in enumerate(states)
                        if activity in atg.marked)
     gen = Generator(len(states), frozenset(labels) | {TICK}, transitions, 0, marked)
-    return TimedGenerator(gen, events, tuple(states), tuple(labels))
+    return TimedGenerator(gen, events, tuple(states))
 

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, determinism, output shapes."""
 
 import json
+import random
 import re
 
 import pytest
@@ -12,6 +13,12 @@ from tdesrec.fixtures import (
     SMALL_FACTORY_WARMUP,
     small_factory_text,
 )
+from util import oracle_timed_states, random_atg
+
+
+def dot_labels(text):
+    """The (state, label) pairs of a DOT rendering, in the order written."""
+    return re.findall(r'^  s(\d+) \[shape=\w+, label="([^"]*)"\];$', text, re.MULTILINE)
 
 
 @pytest.fixture()
@@ -67,32 +74,64 @@ class TestTimedGraphCommand:
         assert "TM2" in model.specs
         assert any(e == 0 for (_, e) in model.specs["TM2"].transitions)
 
-    def test_dot_has_timer_labels(self, tmp_path, model_path):
+    def test_dot_has_timer_labels(self, tmp_path, model_path, factory_model):
         out = tmp_path / "t.tdes"
         dot = tmp_path / "t.dot"
         rc = main(["timed-graph", model_path, "M1", "--name", "TM1",
                    "--dot", str(dot), "-o", str(out)])
         assert rc == EXIT_OK
-        from tdesrec.modelfile import parse_model
+        from tdesrec.modelfile import ModelFile, parse_model, render_model
 
         n_states = parse_model(out.read_text()).specs["TM1"].n_states
         text = dot.read_text()
         assert text.startswith("digraph TM1 {")
-        labels = re.findall(r'^  s(\d+) \[shape=\w+, label="([^"]*)"\];$',
-                            text, re.MULTILINE)
+        labels = dot_labels(text)
         assert [int(q) for q, _ in labels] == list(range(n_states))
         for _, label in labels:
             assert re.fullmatch(r"\d+\|\d+:\d+(,\d+:\d+)*", label), label
 
+        # Each label is the one the reference exploration's own record of
+        # that state gives, on the factory's ATGs and on random ones.
+        def labels_match(path, model, name):
+            argv = ["timed-graph", path, name, "--max-states", "2000",
+                    "--dot", str(dot), "-o", str(out)]
+            try:
+                _, records = oracle_timed_states(model.atgs[name], model.events,
+                                                 max_states=2000)
+            except ValueError:
+                assert main(argv) == EXIT_ERROR
+                return False
+            assert main(argv) == EXIT_OK
+            assert dot_labels(dot.read_text()) == [
+                (str(q), r.dot_label()) for q, r in enumerate(records)]
+            return True
+
+        for name in ("M1", "M2", "R"):
+            assert labels_match(model_path, factory_model, name)
+        rng = random.Random(2470)
+        random_path = tmp_path / "random.tdes"
+        compared = 0
+        while compared < 200:
+            atg, events = random_atg(rng, max_activities=5, max_events=4, max_bound=3)
+            model = ModelFile(events, {"A": atg})
+            random_path.write_text(render_model(model))
+            compared += labels_match(str(random_path), model, "A")
+
     @pytest.mark.parametrize("flag", ["-o", "--dot"])
     def test_unwritable_path_is_an_error(self, tmp_path, model_path, flag,
                                          capsys):
+        # The other flag's path is writable, but a command that fails
+        # leaves no file of its own behind.
         target = str(tmp_path / "missing" / "out")
-        rc = main(["timed-graph", model_path, "M1", flag, target])
+        other = "--dot" if flag == "-o" else "-o"
+        rc = main(["timed-graph", model_path, "M1", flag, target,
+                   other, str(tmp_path / "other")])
         assert rc == EXIT_ERROR
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
         assert err.startswith(f"error: cannot write {target}")
         assert err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["factory.tdes"]
 
 
 class TestSolve:
@@ -422,7 +461,24 @@ class TestUsageErrors:
         (["bogus"], "error: argument command: invalid choice: 'bogus'"),
         (["project", "{model}", "--block", "M1", "--erase", "foo"],
          "error: argument --erase: not an event label or 'tick': 'foo'"),
-    ], ids=["missing-from", "bad-from", "unknown-command", "bad-erase"])
+        # Event arguments follow the model file: labels are positive, and
+        # tick is spelled tick.
+        (["project", "{model}", "--block", "M1", "--erase", "0"],
+         "error: argument --erase: not an event label or 'tick': '0'"),
+        (["solve", "{model}", "--supervisor", "M1", "--from", "0", "--to", "0",
+          "--event", "0"],
+         "error: argument --event: not an event label: '0'"),
+        (["solve", "{model}", "--supervisor", "M1", "--from", "0", "--to", "0",
+          "--event", "tick"],
+         "error: argument --event: not an event label: 'tick'"),
+        (["localize", "{model}", "--components", "M1", "M2", "--reconfig", "R",
+          "--spec", "SPEC", "--ev", "11", "-3"],
+         "error: argument --ev: not an event label: '-3'"),
+        (["synth-tcrs", "{model}", "--components", "M1", "M2", "--reconfig", "R",
+          "--spec", "SPEC", "--reconfig-event", "0"],
+         "error: argument --reconfig-event: not an event label: '0'"),
+    ], ids=["missing-from", "bad-from", "unknown-command", "bad-erase", "erase-0",
+            "event-0", "event-tick", "ev-negative", "reconfig-event-0"])
     def test_usage_error_exits_1(self, model_path, capsys, argv, message):
         # Exit code 2 says a problem is unsolvable, so a usage error exits 1.
         with pytest.raises(SystemExit) as exc:
@@ -471,7 +527,7 @@ class TestLibraryErrors:
                                      RecursionError("maximum recursion depth exceeded"),
                                      MemoryError()])
     def test_runtime_error_is_one_line(self, monkeypatch, model_path, capsys, exc):
-        def fail(args):
+        def fail(model, args):
             raise exc
 
         monkeypatch.setattr(cli, "cmd_export_dot", fail)

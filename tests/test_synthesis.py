@@ -20,7 +20,7 @@ from tdesrec.automata import (
 )
 from tdesrec.events import PROHIBITIBLE, TICK, UNCONTROLLABLE, EventDef, EventTable
 from tdesrec.synthesis import Supervisor, controllable, supcon, synthesize_tcrs
-from tdesrec.timed import TimedState, timed_graph
+from tdesrec.timed import timed_graph
 import util
 from util import (
     _oracle_controllable,
@@ -282,9 +282,8 @@ class TestSupcon:
 
     def test_builds_only_what_it_returns(self, monkeypatch, factory_model):
         # timed_graph builds its generator and supcon its result; neither
-        # builds a product generator or a TimedState record.  The records are
-        # built on the first read of timed_states, equal to the reference's.
-        built = {"Generator": 0, "TimedState": 0}
+        # builds a product generator.  The plant is the reference's.
+        built = {"Generator": 0}
 
         def counting(cls, name):
             original = getattr(cls, name)
@@ -300,15 +299,11 @@ class TestSupcon:
         spec = sync_product([allevents(timed_graph(atg, m.events).generator),
                              m.specs["SPEC"]])
         counting(Generator, "__post_init__")
-        counting(TimedState, "__init__")
         plant = timed_graph(atg, m.events)
         sup = supcon(plant, spec, m.events)
         assert not sup.is_empty
-        assert built == {"Generator": 2, "TimedState": 0}
-        states = plant.timed_states
-        assert built == {"Generator": 2, "TimedState": plant.n_states}
-        assert plant.timed_states is states
-        assert states == oracle_timed_graph(atg, m.events).timed_states
+        assert built == {"Generator": 2}
+        assert plant == oracle_timed_graph(atg, m.events)
 
     def test_transition_subset_realization_crosscheck(self):
         # On tiny instances, allowing arbitrary transition removal (not just

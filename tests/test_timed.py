@@ -1,6 +1,8 @@
 """Timed transition graph construction against hand-simulated timer rules."""
 
+import dataclasses
 import random
+import types
 
 import pytest
 
@@ -8,7 +10,8 @@ from tdesrec.automata import Generator
 from tdesrec.events import PROHIBITIBLE, TICK, UNCONTROLLABLE, EventDef, EventTable
 from tdesrec.timed import TimedGenerator, timed_graph
 from util import (bounded_language, check_bound_soundness, check_deadline_soundness,
-                  check_remote_liveness, oracle_timed_graph, random_atg)
+                  check_remote_liveness, oracle_timed_graph, oracle_timed_states,
+                  random_atg)
 
 
 def one_loop_atg(label):
@@ -116,7 +119,7 @@ class TestTimedInvariants:
             except ValueError:
                 continue
             assert a.generator == b.generator
-            assert a.timed_states == b.timed_states
+            assert a.packed == b.packed
 
 
 class TestTimedGraphReference:
@@ -124,13 +127,14 @@ class TestTimedGraphReference:
     def _cases(atg, ttg):
         """Which timer rules the event steps of ``ttg`` exercise, and which
         shapes of the per-activity tables its construction meets."""
-        events, states = ttg.events, ttg.timed_states
+        events, states = ttg.events, ttg.packed
+        labels = sorted(atg.alphabet)
         enabled = [atg.eligible(a) for a in range(atg.n_states)]
         adj = ttg.generator.out_edges()
         seen = set()
-        if len(ttg.timer_labels) == 1:
+        if len(labels) == 1:
             seen.add("one-event alphabet")  # a single timer: no bare item
-        for activity in {state.activity for state in states}:
+        for activity in {activity for activity, _ in states}:
             if not any(events[e].is_prospective for e in enabled[activity]):
                 seen.add("no prospective event")  # no timer blocks tick
             if any(events[e].default_timer == 0 for e in enabled[activity]):
@@ -146,20 +150,20 @@ class TestTimedGraphReference:
                     seen.add("bound >= 3")
                 if d.lower == 0:
                     seen.add("lower == 0")
-                before, after = states[q], states[dst]
-                for f in enabled[before.activity] - {e}:
-                    if f in enabled[after.activity]:
-                        if before.timer(f) < events[f].default_timer:
+                (before, timers), (after, _) = states[q], states[dst]
+                for f in enabled[before] - {e}:
+                    if f in enabled[after]:
+                        if timers[labels.index(f)] < events[f].default_timer:
                             seen.add("kept across a move")
-                    elif any(f in enabled[states[nxt].activity] for nxt in adj[dst].values()):
+                    elif any(f in enabled[states[nxt][0]] for nxt in adj[dst].values()):
                         seen.add("disabled then re-enabled")
         return seen
 
     def test_packed_construction_matches_dict_oracle(self):
         # Exact equality with the reference construction: the generator, the
-        # transitions in insertion order, every timed state (the reference's
-        # own records against ones built from the packing) and the packing,
-        # plus the state guard at its boundary on both sides.
+        # transitions in insertion order and every timed state (the packing
+        # against the reference's own records), then both constructions at
+        # the state guard's boundary.
         rng = random.Random(1101)
         cases = dict.fromkeys(("remote", "lower == upper", "lower == 0",
                                "kept across a move", "disabled then re-enabled"), 0)
@@ -170,20 +174,20 @@ class TestTimedGraphReference:
             atg, events = random_atg(rng, max_activities=5, max_events=4,
                                      max_bound=3)
             try:
-                expected = oracle_timed_graph(atg, events, max_states=2000)
+                gen, records = oracle_timed_states(atg, events, max_states=2000)
             except ValueError:
                 with pytest.raises(ValueError, match="exceeds 2000 states"):
                     timed_graph(atg, events, max_states=2000)
                 continue
             ttg = timed_graph(atg, events, max_states=2000)
-            assert ttg.generator == expected.generator
-            assert (list(ttg.generator.transitions.items())
-                    == list(expected.generator.transitions.items()))
-            assert ttg.timed_states == expected.timed_states
-            assert ttg == expected
+            assert ttg.generator == gen
+            assert list(ttg.generator.transitions.items()) == list(gen.transitions.items())
+            labels = sorted(atg.alphabet)
+            assert [(a, tuple(zip(labels, t))) for a, t in ttg.packed] == [
+                (r.activity, r.timers) for r in records]
             n = ttg.n_states
-            assert timed_graph(atg, events, max_states=n).timed_states == ttg.timed_states
-            assert oracle_timed_graph(atg, events, max_states=n).n_states == n
+            assert timed_graph(atg, events, max_states=n) == ttg
+            assert oracle_timed_graph(atg, events, max_states=n) == ttg
             if n > 1:
                 for build in (timed_graph, oracle_timed_graph):
                     with pytest.raises(ValueError, match=f"exceeds {n - 1} states"):
@@ -195,3 +199,28 @@ class TestTimedGraphReference:
             checked += 1
         assert min(cases.values()) >= 50, cases
         assert min(shapes.values()) >= 1, shapes
+
+
+class TestOneForm:
+    # A timed state has one form, the packed (activity, timers) pair; a
+    # second form re-added to the library changes these pins.
+    def test_timed_generator_fields(self):
+        assert [f.name for f in dataclasses.fields(TimedGenerator)] == [
+            "generator", "events", "packed"]
+        assert [n for n in dir(TimedGenerator) if not n.startswith("_")] == [
+            "alphabet", "n_states"]
+
+    def test_package_public_names(self):
+        import tdesrec
+
+        assert sorted(n for n, obj in vars(tdesrec).items()
+                      if not n.startswith("_") and not isinstance(obj, types.ModuleType)) == [
+            "CommutativityReport", "DecentralizationPackage", "EventDef", "EventTable",
+            "ForciblePathSet", "Generator", "LocalizedSupervisor", "PROHIBITIBLE",
+            "ReconfigProblem", "Supervisor", "TICK", "TimedGenerator", "UNCONTROLLABLE",
+            "allevents", "controllable", "default_event_list", "erase_ticks", "event_name",
+            "is_nonblocking", "language_equal", "language_subset", "meet", "minimize",
+            "mode_timed_graph", "project", "project_detail", "select_optimal", "supcon",
+            "sync_product", "synthesize_tcrs", "timed_graph", "timed_localize", "to_dot",
+            "trim", "trs", "verify_localization", "verify_projection_commutativity",
+            "verify_solution_equivalence"]

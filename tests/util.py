@@ -21,8 +21,7 @@ from tdesrec.automata import (Generator, ProjectionDetail, _bfs_renumber, _refin
 from tdesrec.events import TICK, PROHIBITIBLE, UNCONTROLLABLE, EventDef, EventTable
 from tdesrec.solver import ReconfigProblem, _backtrackable_into
 from tdesrec.synthesis import Supervisor, _violation, supcon
-from tdesrec.timed import (DEFAULT_STATE_CAP, TimedGenerator, TimedState,
-                           timed_graph)
+from tdesrec.timed import DEFAULT_STATE_CAP, TimedGenerator, timed_graph
 
 
 def random_generator(rng: random.Random, max_states: int = 5,
@@ -264,15 +263,38 @@ def oracle_project_detail(g: Generator, erase: Iterable[int]) -> ProjectionDetai
     return ProjectionDetail(final, tuple(frozenset(p) for p in pooled))
 
 
+@dataclass(frozen=True)
+class OracleTimedState:
+    """A timed state as the reference exploration builds it: an activity plus
+    the current timer of each event, as (label, timer) pairs in label order."""
+
+    activity: int
+    timers: tuple[tuple[int, int], ...]
+
+    def timer(self, label: int) -> int:
+        return dict(self.timers)[label]
+
+    def dot_label(self) -> str:
+        """The state's label in ``timed-graph --dot``: activity|event:timer."""
+        return f"{self.activity}|" + ",".join(f"{e}:{t}" for e, t in self.timers)
+
+
 def oracle_timed_graph(atg: Generator, events: EventTable,
                        max_states: int = DEFAULT_STATE_CAP) -> TimedGenerator:
-    """``timed.timed_graph`` as first written, with a dict of timers per step.
+    """``timed.timed_graph`` as first written, its states packed as handed over."""
+    gen, states = oracle_timed_states(atg, events, max_states)
+    return TimedGenerator(gen, events, tuple(
+        (ts.activity, tuple(v for _, v in ts.timers)) for ts in states))
 
-    The reference copy of the forward exploration: every step builds a
-    ``TimedState`` from a fresh dict of the source state's timers.  The result
-    holds those states packed, as ``timed_graph`` hands them over, and its
-    ``timed_states`` are the records built here, not ones rebuilt from the
-    packing, so comparing ``timed_states`` compares with this exploration.
+
+def oracle_timed_states(atg: Generator, events: EventTable,
+                        max_states: int = DEFAULT_STATE_CAP
+                        ) -> tuple[Generator, tuple[OracleTimedState, ...]]:
+    """The reference forward exploration, with a dict of timers per step.
+
+    Every step builds an ``OracleTimedState`` from a fresh dict of the source
+    state's timers.  Returns the timed generator and those records, one per
+    state.
 
     Raises ``ValueError`` when an ATG event has no definition, when tick
     appears in the ATG alphabet, or when the state count exceeds
@@ -291,18 +313,18 @@ def oracle_timed_graph(atg: Generator, events: EventTable,
     adj = atg.out_edges()
     enabled_at: list[frozenset[int]] = [frozenset(adj[a]) for a in range(atg.n_states)]
 
-    def initial_state() -> TimedState:
-        return TimedState(atg.initial,
-                          tuple((e, defs[e].default_timer) for e in labels))
+    def initial_state() -> OracleTimedState:
+        return OracleTimedState(atg.initial,
+                                tuple((e, defs[e].default_timer) for e in labels))
 
-    def tick_allowed(state: TimedState) -> bool:
+    def tick_allowed(state: OracleTimedState) -> bool:
         timers = dict(state.timers)
         return not any(
             defs[e].is_prospective and timers[e] == 0
             for e in enabled_at[state.activity]
         )
 
-    def tick_step(state: TimedState) -> TimedState:
+    def tick_step(state: OracleTimedState) -> OracleTimedState:
         timers = dict(state.timers)
         enabled = enabled_at[state.activity]
         new = []
@@ -311,9 +333,9 @@ def oracle_timed_graph(atg: Generator, events: EventTable,
                 new.append((e, max(0, timers[e] - 1)))
             else:
                 new.append((e, defs[e].default_timer))
-        return TimedState(state.activity, tuple(new))
+        return OracleTimedState(state.activity, tuple(new))
 
-    def event_eligible(state: TimedState, e: int) -> bool:
+    def event_eligible(state: OracleTimedState, e: int) -> bool:
         if e not in enabled_at[state.activity]:
             return False
         t = state.timer(e)
@@ -322,7 +344,7 @@ def oracle_timed_graph(atg: Generator, events: EventTable,
             return t <= d.upper - d.lower
         return t == 0
 
-    def event_step(state: TimedState, e: int) -> TimedState:
+    def event_step(state: OracleTimedState, e: int) -> OracleTimedState:
         nxt_activity = atg.target(state.activity, e)
         assert nxt_activity is not None
         before = enabled_at[state.activity]
@@ -334,15 +356,15 @@ def oracle_timed_graph(atg: Generator, events: EventTable,
                 new.append((tau, defs[tau].default_timer))
             else:
                 new.append((tau, timers[tau]))
-        return TimedState(nxt_activity, tuple(new))
+        return OracleTimedState(nxt_activity, tuple(new))
 
     start = initial_state()
-    index: dict[TimedState, int] = {start: 0}
-    states: list[TimedState] = [start]
+    index: dict[OracleTimedState, int] = {start: 0}
+    states: list[OracleTimedState] = [start]
     queue = deque([start])
     transitions: dict[tuple[int, int], int] = {}
 
-    def visit(src: int, state: TimedState, event: int) -> None:
+    def visit(src: int, state: OracleTimedState, event: int) -> None:
         if state not in index:
             if len(index) >= max_states:
                 raise ValueError(f"timed graph exceeds {max_states} states")
@@ -362,10 +384,7 @@ def oracle_timed_graph(atg: Generator, events: EventTable,
 
     marked = frozenset(i for i, ts in enumerate(states) if ts.activity in atg.marked)
     gen = Generator(len(states), frozenset(labels) | {TICK}, transitions, 0, marked)
-    packed = tuple((ts.activity, tuple(v for _, v in ts.timers)) for ts in states)
-    ttg = TimedGenerator(gen, events, packed, tuple(labels))
-    vars(ttg)["timed_states"] = tuple(states)  # the cached_property's slot
-    return ttg
+    return gen, tuple(states)
 
 
 def _eligible_sets(g: Generator) -> list[frozenset[int]]:
@@ -970,11 +989,12 @@ def oracle_controllability_witness(cand: Generator, plant_gen: Generator,
 def check_deadline_soundness(atg: Generator, ttg: TimedGenerator) -> None:
     """A state lacks an outgoing tick iff some enabled prospective timer is 0."""
     gen = ttg.generator
-    for q in range(gen.n_states):
-        ts = ttg.timed_states[q]
-        enabled = atg.eligible(ts.activity)
+    labels = sorted(atg.alphabet)
+    for q, (activity, timers) in enumerate(ttg.packed):
+        timer = dict(zip(labels, timers))
+        enabled = atg.eligible(activity)
         blocked = any(
-            ttg.events[e].is_prospective and ts.timer(e) == 0
+            ttg.events[e].is_prospective and timer[e] == 0
             for e in enabled
         )
         has_tick = (q, TICK) in gen.transitions
@@ -983,9 +1003,8 @@ def check_deadline_soundness(atg: Generator, ttg: TimedGenerator) -> None:
 
 def check_remote_liveness(atg: Generator, ttg: TimedGenerator) -> None:
     gen = ttg.generator
-    for q in range(gen.n_states):
-        ts = ttg.timed_states[q]
-        enabled = atg.eligible(ts.activity)
+    for q, (activity, _) in enumerate(ttg.packed):
+        enabled = atg.eligible(activity)
         if enabled and all(ttg.events[e].is_remote for e in enabled):
             assert (q, TICK) in gen.transitions
 
@@ -995,7 +1014,8 @@ def check_bound_soundness(atg: Generator, ttg: TimedGenerator,
     """Walk bounded paths tracking per-event enablement age."""
     gen = ttg.generator
     adj = gen.out_edges()
-    start_age = {e: 0 for e in atg.eligible(ttg.timed_states[0].activity)}
+    activity_of = [activity for activity, _ in ttg.packed]
+    start_age = {e: 0 for e in atg.eligible(activity_of[0])}
     stack = [(0, start_age, 0)]
     seen_paths = 0
     while stack and seen_paths < max_paths:
@@ -1003,7 +1023,7 @@ def check_bound_soundness(atg: Generator, ttg: TimedGenerator,
         seen_paths += 1
         if depth >= max_len:
             continue
-        activity = ttg.timed_states[q].activity
+        activity = activity_of[q]
         for e, dst in sorted(adj[q].items()):
             if e == TICK:
                 new_age = {ev: a + 1 for ev, a in age.items()}
@@ -1014,7 +1034,7 @@ def check_bound_soundness(atg: Generator, ttg: TimedGenerator,
                 assert elapsed >= d.lower, f"{e} fired after {elapsed} < {d.lower} ticks"
                 if d.is_prospective:
                     assert elapsed <= d.upper, f"{e} fired after {elapsed} > {d.upper} ticks"
-                next_activity = ttg.timed_states[dst].activity
+                next_activity = activity_of[dst]
                 before = atg.eligible(activity)
                 after = atg.eligible(next_activity)
                 new_age = {}
